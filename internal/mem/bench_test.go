@@ -46,7 +46,7 @@ func BenchmarkDRAMReset(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccessHit measures the flattened lookup path on a
+// BenchmarkCacheAccessHit measures the packed lookup path on a
 // cache-resident working set (the L2 steady state: mostly hits).
 func BenchmarkCacheAccessHit(b *testing.B) {
 	c := NewCache(CacheConfig{SizeBytes: 256 << 10, Ways: 8})
@@ -62,7 +62,7 @@ func BenchmarkCacheAccessHit(b *testing.B) {
 }
 
 // BenchmarkCacheAccessMiss streams far beyond the capacity, exercising the
-// victim scan, eviction and dirty-writeback reconstruction every access.
+// victim choice, eviction and dirty-writeback reconstruction every access.
 func BenchmarkCacheAccessMiss(b *testing.B) {
 	c := NewCache(CacheConfig{SizeBytes: 256 << 10, Ways: 8})
 	r := rng.New(5)
@@ -77,7 +77,7 @@ func BenchmarkCacheAccessMiss(b *testing.B) {
 	}
 }
 
-// TestCacheAccessZeroAllocs locks the flattened Access path — lookup,
+// TestCacheAccessZeroAllocs locks the packed Access path — lookup,
 // victim choice, writeback reconstruction — at zero heap allocations.
 func TestCacheAccessZeroAllocs(t *testing.T) {
 	c := NewCache(CacheConfig{SizeBytes: 8 << 10, Ways: 4})

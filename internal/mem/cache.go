@@ -7,6 +7,8 @@
 // wall-clock picoseconds and do not change with the core frequency.
 package mem
 
+import "math/bits"
+
 // LineSize is the cache line size in bytes, shared by every level.
 const LineSize = 64
 
@@ -31,28 +33,41 @@ type CacheConfig struct {
 // Sets returns the number of sets implied by the configuration.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (LineSize * c.Ways) }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; higher = more recently used.
-	lru uint64
-}
+// Packed way word: the tag above two flag bits. An invalid way is all
+// zeros, so a single compare of word&^dirtyBit against tag<<tagShift|validBit
+// tests presence.
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+)
+
+// maxWays bounds the associativity: a set's recency order must fit one
+// uint64 at 4 bits per way.
+const maxWays = 16
+
+// nibbles broadcasts a 4-bit value to every nibble of a word.
+const nibbles = 0x1111111111111111
 
 // Cache is a set-associative write-back, write-allocate cache with true LRU
 // replacement. It models tags only (no data), which is all timing needs.
 //
-// Lines are stored as one contiguous slice — set s occupies
-// lines[s*ways : (s+1)*ways] — and address hashing is pure shift/mask, so
-// Access touches a single cache-resident run of memory with no per-set
-// slice header indirection and no integer division.
+// Each way is one packed word (see validBit) and set s occupies
+// lines[s*ways : (s+1)*ways], so a 16-way set is 128 contiguous bytes and
+// address hashing is pure shift/mask. Each set's LRU order is one recency
+// word: rank r (0 = most recently used) holds a way index in bits
+// [4r, 4r+4), and ranks at or above ways are zero. Invalid ways always
+// occupy the top ranks, lowest index at the very top, so the top nibble is
+// the replacement victim — the first invalid way by index, else the least
+// recently used way — with no scan.
 type Cache struct {
 	cfg      CacheConfig
-	lines    []cacheLine
+	lines    []uint64
+	recency  []uint64
 	ways     int
 	setMask  uint64
 	setShift uint // log2(number of sets); tag = lineNumber >> setShift
-	lruClock uint64
+	lruShift uint // 4*(ways-1): recency>>lruShift is the victim way
 
 	// Stats
 	Hits       uint64
@@ -62,24 +77,31 @@ type Cache struct {
 }
 
 // NewCache builds a cache from cfg. It panics on a degenerate geometry
-// (non-power-of-two set count, or zero ways) because address hashing relies
-// on power-of-two sets.
+// (non-power-of-two set count, zero ways, or more than 16 ways) because
+// address hashing relies on power-of-two sets and the recency word holds at
+// most 16 ways.
 func NewCache(cfg CacheConfig) *Cache {
 	sets := cfg.Sets()
-	if cfg.Ways <= 0 || sets <= 0 || sets&(sets-1) != 0 {
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || sets <= 0 || sets&(sets-1) != 0 {
 		panic("mem: invalid cache geometry")
 	}
 	shift := uint(0)
 	for 1<<shift != sets {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
-		lines:    make([]cacheLine, sets*cfg.Ways),
+		lines:    make([]uint64, sets*cfg.Ways),
+		recency:  make([]uint64, sets),
 		ways:     cfg.Ways,
 		setMask:  uint64(sets - 1),
 		setShift: shift,
+		lruShift: uint(4 * (cfg.Ways - 1)),
 	}
+	for si := range c.recency {
+		c.settle(uint64(si))
+	}
+	return c
 }
 
 // Config returns the cache geometry.
@@ -93,10 +115,53 @@ func (c *Cache) tag(a Addr) uint64 {
 	return (uint64(a) >> lineShift) >> c.setShift
 }
 
+// key is the packed word of a present, clean line holding addr.
+func (c *Cache) key(a Addr) uint64 {
+	return c.tag(a)<<tagShift | validBit
+}
+
 // set returns the ways of set si as a full-capacity sub-slice.
-func (c *Cache) set(si uint64) []cacheLine {
+func (c *Cache) set(si uint64) []uint64 {
 	base := int(si) * c.ways
 	return c.lines[base : base+c.ways : base+c.ways]
+}
+
+// touch returns recency word rec with way moved to rank 0 and the ranks it
+// passed over shifted up by one. It is branch-free: XOR zeroes way's nibble,
+// the zero-nibble test marks it (the lowest mark is exact, borrows only
+// corrupt marks above it), and its trailing-zero count is 4*rank+3.
+func touch(rec, way uint64) uint64 {
+	x := rec ^ way*nibbles
+	r := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	below := uint64(1)<<r - 1
+	above := ^(uint64(1)<<(r+4) - 1) // zero when way is at rank 15
+	return rec&above | (rec&below)<<4 | way
+}
+
+// settle restores set si's recency invariant after invalidations (or
+// builds it for a fresh set): valid ways keep their relative order from
+// rank 0 up, and invalid ways fill the ranks above them, lowest index at
+// the top.
+func (c *Cache) settle(si uint64) {
+	var valid uint64
+	for i, w := range c.set(si) {
+		valid |= (w & validBit) << i
+	}
+	old := c.recency[si]
+	var rec uint64
+	shift := uint(0)
+	for r := 0; r < c.ways; r++ {
+		w := old >> (4 * r) & 0xF
+		v := valid >> w & 1
+		rec |= w << shift & -v
+		shift += uint(4 * v)
+	}
+	top := c.lruShift
+	for inv := ^valid & (1<<c.ways - 1); inv != 0; inv &= inv - 1 {
+		rec |= uint64(bits.TrailingZeros64(inv)) << top
+		top -= 4
+	}
+	c.recency[si] = rec
 }
 
 // AccessResult reports the outcome of a cache access.
@@ -116,54 +181,44 @@ type AccessResult struct {
 func (c *Cache) Access(addr Addr, write bool) AccessResult {
 	si := c.setIndex(addr)
 	set := c.set(si)
-	tag := c.tag(addr)
-	c.lruClock++
+	key := c.key(addr)
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.lruClock
-			if write {
-				set[i].dirty = true
-			}
+	for i, w := range set {
+		if w&^dirtyBit == key {
+			set[i] = w | dirty
+			c.recency[si] = touch(c.recency[si], uint64(i))
 			c.Hits++
 			return AccessResult{Hit: true}
 		}
 	}
 	c.Misses++
 
-	// Choose victim in one pass: the first invalid way if any, else the
-	// least recently used (lowest-index on ties, matching true LRU with
-	// the strictly-increasing lru clock).
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
+	rec := c.recency[si]
+	victim := rec >> c.lruShift
 	var res AccessResult
-	if set[victim].valid {
+	if old := set[victim]; old&validBit != 0 {
 		c.Evictions++
-		if set[victim].dirty {
+		if old&dirtyBit != 0 {
 			c.Writebacks++
 			res.WritebackValid = true
-			res.WritebackAddr = c.reconstruct(set[victim].tag, si)
+			res.WritebackAddr = c.reconstruct(old>>tagShift, si)
 		}
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.lruClock}
+	set[victim] = key | dirty
+	c.recency[si] = touch(rec, victim)
 	return res
 }
 
 // Probe reports whether addr is present without touching LRU state or
 // statistics.
 func (c *Cache) Probe(addr Addr) bool {
-	set := c.set(c.setIndex(addr))
-	tag := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key := c.key(addr)
+	for _, w := range c.set(c.setIndex(addr)) {
+		if w&^dirtyBit == key {
 			return true
 		}
 	}
@@ -173,13 +228,14 @@ func (c *Cache) Probe(addr Addr) bool {
 // Invalidate drops addr from the cache if present, returning whether the
 // dropped line was dirty.
 func (c *Cache) Invalidate(addr Addr) (present, dirty bool) {
-	set := c.set(c.setIndex(addr))
-	tag := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			d := set[i].dirty
-			set[i] = cacheLine{}
-			return true, d
+	si := c.setIndex(addr)
+	set := c.set(si)
+	key := c.key(addr)
+	for i, w := range set {
+		if w&^dirtyBit == key {
+			set[i] = 0
+			c.settle(si)
+			return true, w&dirtyBit != 0
 		}
 	}
 	return false, false
@@ -205,13 +261,20 @@ func (c *Cache) InvalidateRange(base Addr, size int64) {
 		}
 		return
 	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
-			continue
+	for si := range c.recency {
+		set := c.set(uint64(si))
+		dropped := false
+		for i, w := range set {
+			if w&validBit == 0 {
+				continue
+			}
+			if a := c.reconstruct(w>>tagShift, uint64(si)); a >= lo && a < hi {
+				set[i] = 0
+				dropped = true
+			}
 		}
-		if a := c.reconstruct(ln.tag, uint64(i/c.ways)); a >= lo && a < hi {
-			*ln = cacheLine{}
+		if dropped {
+			c.settle(uint64(si))
 		}
 	}
 }
@@ -223,34 +286,38 @@ func (c *Cache) InvalidateRange(base Addr, size int64) {
 // ranges so a later detailed collection sees warm cache state — and must
 // not be used on detailed timing paths.
 //
-// The victim way is a fixed hash of the line number rather than the LRU
-// scan Access performs, making the install O(1) per line; refill bursts
-// install megabytes at a time, so the scan would dominate the fast path it
-// exists to serve. The caller must guarantee the lines are not already
-// present (the range was recycled via InvalidateRange and not re-touched),
-// or duplicate tags would result.
+// The victim way is a fixed hash of the line number (tag % ways) rather
+// than the replacement victim Access takes; sampled runs are defined by
+// that rule, so changing it changes their results. The caller must
+// guarantee the lines are not already present (the range was recycled via
+// InvalidateRange and not re-touched), or duplicate tags would result.
 func (c *Cache) InstallRange(base Addr, size int64) {
 	if size <= 0 {
 		return
 	}
 	hi := base + Addr(size)
+	ways := uint64(c.ways)
 	for a := base.Line(); a < hi; a += LineSize {
 		ln := uint64(a) >> lineShift
+		si := ln & c.setMask
 		tag := ln >> c.setShift
-		c.lruClock++
-		way := int(tag) % c.ways
-		c.lines[int(ln&c.setMask)*c.ways+way] = cacheLine{tag: tag, valid: true, dirty: true, lru: c.lruClock}
+		way := tag % ways
+		c.lines[si*ways+way] = tag<<tagShift | dirtyBit | validBit
+		c.recency[si] = touch(c.recency[si], way)
 	}
 }
 
 // Flush invalidates the entire cache, returning the number of dirty lines
 // discarded.
 func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+	for _, w := range c.lines {
+		if w&dirtyBit != 0 {
 			dirty++
 		}
-		c.lines[i] = cacheLine{}
+	}
+	clear(c.lines)
+	for si := range c.recency {
+		c.settle(uint64(si))
 	}
 	return dirty
 }
@@ -262,10 +329,8 @@ func (c *Cache) reconstruct(tag, setIdx uint64) Addr {
 // Occupancy returns the number of valid lines, mostly for tests.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
+	for _, w := range c.lines {
+		n += int(w & validBit)
 	}
 	return n
 }

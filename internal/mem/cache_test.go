@@ -164,7 +164,8 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []CacheConfig{
 		{SizeBytes: 0, Ways: 2},
 		{SizeBytes: 512, Ways: 0},
-		{SizeBytes: 3 * 64 * 2, Ways: 2}, // 3 sets: not a power of two
+		{SizeBytes: 3 * 64 * 2, Ways: 2},   // 3 sets: not a power of two
+		{SizeBytes: 4 * 64 * 17, Ways: 17}, // recency word holds 16 ways
 	} {
 		func() {
 			defer func() {

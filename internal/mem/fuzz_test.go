@@ -32,8 +32,9 @@ func FuzzCalendarReserve(f *testing.F) {
 	})
 }
 
-// FuzzCacheAccess checks that no access pattern can corrupt cache
-// bookkeeping: stats always balance and occupancy stays within capacity.
+// FuzzCacheAccess replays arbitrary operation streams against the
+// packed-word Cache and the reference layout (see diffCache): the first byte
+// picks the associativity, the rest are the operations.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 128})
 	f.Add([]byte{7, 7, 7, 7})
@@ -41,22 +42,7 @@ func FuzzCacheAccess(f *testing.F) {
 		if len(pattern) == 0 {
 			return
 		}
-		c := NewCache(CacheConfig{SizeBytes: 1 << 10, Ways: 2})
-		var accesses uint64
-		for i, b := range pattern {
-			addr := Addr(b) * 64 * 3
-			c.Access(addr, i%3 == 0)
-			accesses++
-			if i%5 == 0 {
-				c.Invalidate(addr)
-			}
-		}
-		if c.Hits+c.Misses != accesses {
-			t.Fatalf("stats unbalanced: %d+%d != %d", c.Hits, c.Misses, accesses)
-		}
-		if c.Occupancy() > c.Config().Sets()*c.Config().Ways {
-			t.Fatal("occupancy exceeds capacity")
-		}
+		diffCache(t, diffWays[int(pattern[0])%len(diffWays)], pattern[1:])
 	})
 }
 

@@ -80,19 +80,35 @@ func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// Geometric returns a geometrically distributed count >= 1 with the given
-// mean (mean must be >= 1). It is the number of Bernoulli trials up to and
-// including the first success with p = 1/mean.
-func (s *Source) Geometric(mean float64) int64 {
+// Geometric samples geometrically distributed counts >= 1 with a fixed
+// mean: the number of Bernoulli trials up to and including the first
+// success with p = 1/mean. Preparing it computes log(1-p) once, so a draw
+// costs one logarithm. The zero value always returns 1, like a mean <= 1.
+type Geometric struct {
+	logq  float64 // log(1-p)
+	draws bool    // mean > 1; otherwise every count is 1 and draws nothing
+}
+
+// NewGeometric prepares a sampler for the given mean (mean must be >= 1).
+func NewGeometric(mean float64) Geometric {
 	if mean <= 1 {
-		return 1
+		return Geometric{}
 	}
 	p := 1 / mean
+	return Geometric{logq: math.Log(1 - p), draws: true}
+}
+
+// Draw returns the next count, consuming one value from s when the mean
+// exceeds 1.
+func (g Geometric) Draw(s *Source) int64 {
+	if !g.draws {
+		return 1
+	}
 	u := s.Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	n := int64(math.Log(1-u)/math.Log(1-p)) + 1
+	n := int64(math.Log(1-u)/g.logq) + 1
 	if n < 1 {
 		n = 1
 	}

@@ -126,10 +126,11 @@ func TestExpMean(t *testing.T) {
 
 func TestGeometricMean(t *testing.T) {
 	s := New(13)
+	g := NewGeometric(25)
 	var sum float64
 	const n = 200_000
 	for i := 0; i < n; i++ {
-		v := s.Geometric(25)
+		v := g.Draw(s)
 		if v < 1 {
 			t.Fatalf("Geometric < 1: %v", v)
 		}
@@ -138,8 +139,49 @@ func TestGeometricMean(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-25) > 1 {
 		t.Errorf("Geometric(25) mean = %v", mean)
 	}
-	if got := s.Geometric(0.5); got != 1 {
+	if got := NewGeometric(0.5).Draw(s); got != 1 {
 		t.Errorf("Geometric(<1) = %d, want 1", got)
+	}
+}
+
+// geometricFormula is the per-call sampler Geometric replaced, recomputing
+// log(1-p) on every draw; the prepared sampler must match it bit for bit.
+func geometricFormula(s *Source, mean float64) int64 {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1 / mean
+	u := s.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	n := int64(math.Log(1-u)/math.Log(1-p)) + 1
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+func TestGeometricMatchesFormula(t *testing.T) {
+	means := []float64{
+		math.Inf(-1), -3, 0, 0.5, 1, // a count of 1, no draw
+		math.Nextafter(1, 2), 1.001, 1.5, 2, 3.7, 10, 1000.0 / 28, 1000.0 / 7.3, 1e3, 1e6,
+		1e17, math.Inf(1), math.NaN(), // log(1-p) is 0 or NaN: still one draw per count
+	}
+	for i, mean := range means {
+		want, got := New(uint64(i)), New(uint64(i))
+		g := NewGeometric(mean)
+		for j := 0; j < 10_000; j++ {
+			if w, d := geometricFormula(want, mean), g.Draw(got); w != d {
+				t.Fatalf("mean %v draw %d: prepared %d, formula %d", mean, j, d, w)
+			}
+		}
+		if *got != *want {
+			t.Fatalf("mean %v: prepared sampler consumed a different number of draws", mean)
+		}
+		if mean <= 1 && *got != *New(uint64(i)) {
+			t.Fatalf("mean %v: a count of 1 consumed randomness", mean)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -72,18 +73,28 @@ func (m *Model) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile atomically writes the model next to path (temp + rename).
+// WriteFile atomically writes the model to path: it is staged in a uniquely
+// named temp file in path's directory and renamed into place, so readers
+// only ever see a complete model and concurrent writers never rename each
+// other's partial files.
 func (m *Model) WriteFile(path string) error {
 	raw, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return fmt.Errorf("surrogate: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(raw); err != nil {
+		tmp.Close()
+		return fmt.Errorf("surrogate: write: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("surrogate: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("surrogate: %w", err)
 	}
 	return nil

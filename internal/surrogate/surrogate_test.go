@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"depburst/internal/dacapo"
@@ -430,6 +431,57 @@ func TestDecodeClampsGamma(t *testing.T) {
 func TestWriteFileBadPath(t *testing.T) {
 	if err := NewModel().WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "m")); err == nil {
 		t.Error("unwritable path accepted")
+	}
+}
+
+// TestWriteFileConcurrent: two trainings writing one model path at once
+// must leave one complete model, never a mix or a stray temp file.
+func TestWriteFileConcurrent(t *testing.T) {
+	suite := dacapo.Suite()
+	models := []*Model{
+		Train(synthSamples(suite[:2], trainFreqs)),
+		Train(synthSamples(suite[2:], trainFreqs)),
+	}
+	var want [][]byte
+	for _, m := range models {
+		raw, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, raw)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.dbsg")
+	for round := 0; round < 20; round++ {
+		errs := make([]error, len(models))
+		var wg sync.WaitGroup
+		for i, m := range models {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = m.WriteFile(path)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		raw, err := got.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want[0]) && !bytes.Equal(raw, want[1]) {
+			t.Fatalf("round %d: file decodes to neither written model", round)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("round %d: directory holds %d entries (%v), want only the model", round, len(entries), err)
+		}
 	}
 }
 

@@ -101,12 +101,12 @@ func FillBlock(dst *cpu.Block, p Profile, n int64, r *rng.Source) {
 	if evPerKI <= 0 || p.Addr == nil {
 		return
 	}
-	meanGap := 1000 / evPerKI
+	gap := rng.NewGeometric(1000 / evPerKI)
 	storeFrac := p.StoresPerKI / evPerKI
 
 	at := int64(0)
 	for {
-		at += r.Geometric(meanGap)
+		at += gap.Draw(r)
 		if at >= n {
 			break
 		}

@@ -85,6 +85,28 @@ func TestFillBlockNoMemory(t *testing.T) {
 	}
 }
 
+// TestFillBlockZeroAllocs locks trace generation with a reused block at
+// zero heap allocations: the event slice is recycled and the address
+// generators draw through the profile's existing interface values.
+func TestFillBlockZeroAllocs(t *testing.T) {
+	p := Profile{
+		IPC: 2, LoadsPerKI: 20, StoresPerKI: 8, DepFrac: 0.4,
+		Addr: HotCold{
+			Hot:     RandomRegion{Base: 0, Size: 64 << 10},
+			Cold:    RandomRegion{Base: 1 << 30, Size: 256 << 20},
+			HotFrac: 0.7,
+		},
+		StoreAddr: &SeqRegion{Base: 2 << 30, Size: 1 << 20},
+	}
+	r := rng.New(3)
+	var b cpu.Block
+	FillBlock(&b, p, 40_000, r) // grow the event slice past any 10k-instruction block
+	avg := testing.AllocsPerRun(1000, func() { FillBlock(&b, p, 10_000, r) })
+	if avg != 0 {
+		t.Errorf("FillBlock allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 func TestFillZeroInit(t *testing.T) {
 	var b cpu.Block
 	FillZeroInit(&b, 0x1000, 4096, 2)
