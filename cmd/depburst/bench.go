@@ -71,6 +71,11 @@ type benchDoc struct {
 	SurrogateHitRate      float64 `json:"surrogate_hit_rate,omitempty"`
 	SurrogateHoldoutErr   float64 `json:"surrogate_holdout_err,omitempty"`
 	SurrogateSpeedup      float64 `json:"surrogate_speedup,omitempty"`
+
+	// Loadtest is the record `depburst loadtest -o` merged into the file
+	// (see mergeLoadReport). bench does not produce it; writeBenchDoc
+	// carries an existing one through verbatim.
+	Loadtest json.RawMessage `json:"loadtest,omitempty"`
 }
 
 // cmdBench times the full experiment suite through the parallel engine,
@@ -264,21 +269,33 @@ func cmdBench(args []string, workers int) {
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := writeBenchDoc(*out, doc); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	f.Close()
 	fmt.Printf("wrote %s\n", *out)
 	if diverged {
 		os.Exit(1)
 	}
+}
+
+// writeBenchDoc writes doc to path as indented JSON. A "loadtest" record
+// already in the file is kept, so `depburst loadtest -o F` and
+// `depburst bench -o F` keep both reports whichever runs first.
+func writeBenchDoc(path string, doc benchDoc) error {
+	if old, err := os.ReadFile(path); err == nil {
+		var prev struct {
+			Loadtest json.RawMessage `json:"loadtest"`
+		}
+		if json.Unmarshal(old, &prev) == nil {
+			doc.Loadtest = prev.Loadtest
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

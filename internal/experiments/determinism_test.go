@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"depburst/internal/core"
 	"depburst/internal/dacapo"
+	"depburst/internal/sim"
 	"depburst/internal/simcache"
 	"depburst/internal/tracefmt"
 )
@@ -235,6 +237,84 @@ func TestDiskCacheRoundTripAndFallback(t *testing.T) {
 	again := cachedRunner(1, st)
 	if !reflect.DeepEqual(truthCold, again.Truth(spec, 1000)) {
 		t.Error("re-populated cache serves a different result")
+	}
+}
+
+// gobPayload is a cache payload in the layout entries had before sim.Result
+// owned its encoding: the result, gob-encoded.
+type gobPayload struct{ res *sim.Result }
+
+func (p gobPayload) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	err := gob.NewEncoder(&b).Encode(p.res)
+	return b.Bytes(), err
+}
+
+// TestGobEntryDegradesToMiss covers version skew inside one key: every
+// live entry of a populated cache is rewritten, under a valid frame and
+// checksum, as the gob payload an older binary wrote. Reading one must be
+// a miss that purges the entry and its sidecar and leaves the destination
+// untouched; a Runner on the cache then re-simulates every run, renders
+// the same table, and repopulates the cache.
+func TestGobEntryDegradesToMiss(t *testing.T) {
+	spec, err := dacapo.ByName("pmd.scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := []dacapo.Spec{spec.Scaled(0.25)}
+	st, err := simcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() (string, *Runner) {
+		r := cachedRunner(1, st)
+		r.SetSuite(suite)
+		return r.Fig1().String(), r
+	}
+	want, _ := render()
+	keys, err := st.Keys()
+	if err != nil || len(keys) == 0 {
+		t.Fatalf("cold render cached nothing (%v)", err)
+	}
+	for _, k := range keys {
+		var res sim.Result
+		if !st.Get(k, &res) {
+			t.Fatalf("fresh entry %s missed", k)
+		}
+		if !st.HasMeta(k) {
+			t.Fatalf("truth entry %s has no sidecar", k)
+		}
+		if err := st.Put(k, gobPayload{&res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out sim.Result
+	if st.Get(keys[0], &out) {
+		t.Fatal("gob entry served as a hit")
+	}
+	if !reflect.DeepEqual(out, sim.Result{}) {
+		t.Error("rejected entry was partly decoded into the destination")
+	}
+	if _, err := os.Stat(filepath.Join(st.Dir(), keys[0]+".sce")); !os.IsNotExist(err) {
+		t.Error("gob entry not purged")
+	}
+	if st.HasMeta(keys[0]) {
+		t.Error("gob entry's sidecar not purged")
+	}
+
+	got, r := render()
+	if got != want {
+		t.Fatalf("re-simulated render differs:\ngot  %q\nwant %q", got, want)
+	}
+	if n := r.Simulations(); n != int64(len(keys)) {
+		t.Errorf("Runner re-simulated %d runs, want all %d", n, len(keys))
+	}
+	for _, k := range keys {
+		var res sim.Result
+		if !st.Get(k, &res) || !st.HasMeta(k) {
+			t.Errorf("entry %s not repopulated with its sidecar", k)
+		}
 	}
 }
 

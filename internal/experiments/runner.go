@@ -94,7 +94,9 @@ type memo struct {
 }
 
 // resultFingerprint pins the structure of sim.Result into every disk-cache
-// key, so a binary whose result schema differs always misses.
+// key, and diskKey puts sim.CodecVersion beside it, so a binary whose
+// result schema or encoding differs always misses instead of purging the
+// other binary's entries.
 var resultFingerprint = simcache.Fingerprint(sim.Result{})
 
 // SetDiskCache attaches a persistent result store (nil detaches). Attach it
@@ -169,16 +171,17 @@ func Cancelable(fn func()) (err error) {
 }
 
 // diskKey computes the content address for one run family: the result
-// schema fingerprint, the run kind, the complete machine configuration
-// (which carries frequency, quantum, seed and the benchmark's JVM sizing)
-// and any extra inputs — benchmark specs, governor parameters. ok is false
-// when no store is attached or the inputs fail to encode.
+// schema fingerprint and codec version, the run kind, the complete machine
+// configuration (which carries frequency, quantum, seed and the
+// benchmark's JVM sizing) and any extra inputs — benchmark specs, governor
+// parameters. ok is false when no store is attached or the inputs fail to
+// encode.
 func (r *Runner) diskKey(kind string, cfg sim.Config, extra ...any) (string, bool) {
 	if r.disk == nil {
 		return "", false
 	}
 	cfg.Metrics = nil // observability never changes results
-	parts := append([]any{resultFingerprint, kind, cfg}, extra...)
+	parts := append([]any{resultFingerprint, sim.CodecVersion, kind, cfg}, extra...)
 	key, err := simcache.Key(parts...)
 	if err != nil {
 		return "", false

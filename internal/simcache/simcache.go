@@ -5,9 +5,12 @@
 // experiment suite is pure deserialization and byte-identical to a cold run.
 //
 // Keys are SHA-256 digests over a canonical encoding of the inputs plus a
-// schema-version string and a structural fingerprint of the result type, so
-// any change to the simulator's observable output families invalidates the
-// cache implicitly. Entries are self-checking (magic, version, payload
+// schema-version string and whatever the caller adds to pin the value's
+// layout (a structural fingerprint of the result type and its codec
+// version), so any change to the simulator's observable output families
+// invalidates the cache implicitly. The store frames and checksums bytes;
+// each value owns its encoding (encoding.BinaryMarshaler and
+// BinaryUnmarshaler). Entries are self-checking (magic, version, payload
 // checksum) and written atomically (temp file + rename); corruption,
 // truncation or version skew degrades to a cache miss, never to a wrong
 // result. Total size is bounded by an LRU cap: reads refresh an entry's
@@ -17,8 +20,8 @@ package simcache
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -121,8 +124,8 @@ func Key(parts ...any) (string, error) {
 // Fingerprint returns a structural digest of v's type: type kinds, field
 // names and declared order, recursively. Include it in Key so that adding,
 // removing or retyping a field of the cached result changes every key —
-// version skew between binaries then reads as a miss instead of a
-// silently-partial gob decode.
+// version skew between binaries then reads as a miss instead of a decode
+// against the wrong layout.
 func Fingerprint(v any) string {
 	var b bytes.Buffer
 	seen := map[reflect.Type]bool{}
@@ -176,11 +179,14 @@ func (s *Store) metaPath(key string) string {
 	return filepath.Join(s.dir, key+metaExt)
 }
 
-// Get decodes the entry for key into out (a pointer to a fresh value) and
-// reports whether it was served. Every failure mode — absent, truncated,
-// corrupted, or written by an incompatible format version — returns false;
-// damaged entries are deleted so they stop occupying the budget.
-func (s *Store) Get(key string, out any) bool {
+// Get decodes the entry for key into out and reports whether it was
+// served. Every failure mode — absent, truncated, corrupted, or written by
+// an incompatible format version — returns false; damaged entries, and
+// entries out rejects, are deleted (with their sidecars) so they stop
+// occupying the budget. out should decode into a scratch value and assign
+// itself only on success, as *sim.Result does, so a miss leaves it
+// untouched.
+func (s *Store) Get(key string, out encoding.BinaryUnmarshaler) bool {
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -194,7 +200,7 @@ func (s *Store) Get(key string, out any) bool {
 		s.count(func(st *Stats) { st.Misses++ })
 		return false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
+	if err := out.UnmarshalBinary(payload); err != nil {
 		os.Remove(path)
 		os.Remove(s.metaPath(key))
 		s.count(func(st *Stats) { st.Misses++ })
@@ -233,12 +239,12 @@ func checkEntry(raw []byte) ([]byte, bool) {
 // Put encodes val and installs it under key atomically: the entry is
 // staged in a temp file in the same directory and renamed into place, so
 // readers (including other processes) only ever see complete entries.
-func (s *Store) Put(key string, val any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(val); err != nil {
+func (s *Store) Put(key string, val encoding.BinaryMarshaler) error {
+	payload, err := val.MarshalBinary()
+	if err != nil {
 		return fmt.Errorf("simcache: encode: %w", err)
 	}
-	if err := s.install(s.path(key), payload.Bytes()); err != nil {
+	if err := s.install(s.path(key), payload); err != nil {
 		return err
 	}
 	s.count(func(st *Stats) { st.Puts++ })

@@ -1,6 +1,8 @@
 package simcache
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +13,8 @@ import (
 )
 
 // payload is a stand-in for sim.Result: nested structs, slices, exact
-// floats, and signed/unsigned scalars.
+// floats, and signed/unsigned scalars. Like any stored value it owns its
+// encoding (JSON here; the store only frames and checksums the bytes).
 type payload struct {
 	Name    string
 	Time    int64
@@ -24,6 +27,29 @@ type point struct {
 	At    int64
 	Value float64
 }
+
+func (p payload) MarshalBinary() ([]byte, error) { return json.Marshal(p) }
+
+// UnmarshalBinary decodes into a scratch value and assigns it only on
+// success, as the store expects of every value.
+func (p *payload) UnmarshalBinary(b []byte) error {
+	var tmp payload
+	if err := json.Unmarshal(b, &tmp); err != nil {
+		return err
+	}
+	*p = tmp
+	return nil
+}
+
+// raw is a value whose encoding is the given bytes verbatim.
+type raw []byte
+
+func (b raw) MarshalBinary() ([]byte, error) { return b, nil }
+
+// unencodable is a value whose encoding fails.
+type unencodable struct{}
+
+func (unencodable) MarshalBinary() ([]byte, error) { return nil, errors.New("no encoding") }
 
 func testPayload() payload {
 	return payload{
@@ -184,12 +210,13 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			path := corruptEntry(t, dir, 0, func([]byte) {})
 			os.WriteFile(path, nil, 0o644)
 		}},
-		{"garbage-gob", func(t *testing.T, dir string) {
-			// Valid framing around a payload gob cannot decode: rewrite
-			// the entry from whole cloth with a checksummed junk payload.
+		{"garbage-payload", func(t *testing.T, dir string) {
+			// Valid framing around a payload the value's decoder
+			// rejects: rewrite the entry from whole cloth with a
+			// checksummed junk payload.
 			path := corruptEntry(t, dir, 0, func([]byte) {})
 			s, _ := Open(dir, 0)
-			if err := s.Put(filepath.Base(path[:len(path)-len(entryExt)]), "not a payload struct"); err != nil {
+			if err := s.Put(filepath.Base(path[:len(path)-len(entryExt)]), raw("not a payload struct")); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -214,6 +241,22 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 				t.Fatal("store did not recover after re-Put")
 			}
 		})
+	}
+}
+
+// TestPutEncodeErrorInstallsNothing checks that a value whose encoding
+// fails is reported and leaves no entry behind.
+func TestPutEncodeErrorInstallsNothing(t *testing.T) {
+	s := open(t, 0)
+	key, _ := Key("x")
+	if err := s.Put(key, unencodable{}); err == nil {
+		t.Fatal("Put of an unencodable value succeeded")
+	}
+	if entries, _, _ := s.Size(); entries != 0 {
+		t.Errorf("failed Put left %d entries", entries)
+	}
+	if st := s.Stats(); st.Puts != 0 {
+		t.Errorf("failed Put counted: %+v", st)
 	}
 }
 
