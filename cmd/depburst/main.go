@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -37,6 +38,15 @@ func parseWorkers(s string) int {
 		os.Exit(2)
 	}
 	return n
+}
+
+// checkThreshold exits 2 on a -threshold that is not a finite number: the
+// energy manager cannot act on it, and a run's content key cannot encode it.
+func checkThreshold(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		fmt.Fprintf(os.Stderr, "depburst: invalid threshold %v\n", x)
+		os.Exit(2)
+	}
 }
 
 // suiteTables regenerates the full evaluation — every table and figure —
@@ -571,6 +581,7 @@ func cmdSVG(r *experiments.Runner, args []string) {
 	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
 	out := fs.String("o", "timeline.svg", "output file")
 	fs.Parse(args)
+	checkThreshold(*threshold)
 	spec, err := dacapo.ByName(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -598,6 +609,7 @@ func cmdTrace(r *experiments.Runner, args []string) {
 	bench := fs.String("bench", "xalan", "benchmark name")
 	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
 	fs.Parse(args)
+	checkThreshold(*threshold)
 	spec, err := dacapo.ByName(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -46,27 +47,10 @@ func cmdServe(r *experiments.Runner, args []string) {
 		r.SetSuite(specs)
 	}
 
-	var model *surrogate.Model
-	switch {
-	case *modelFile != "":
-		m, err := surrogate.ReadFile(*modelFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		model = m
-	case *trainBoot:
-		model = surrogate.NewModel()
-		if st := r.DiskCache(); st != nil {
-			samples, err := surrogate.Scan(st)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if len(samples) > 0 {
-				model = surrogate.Train(samples)
-			}
-		}
+	model, err := loadModel(r, *modelFile, *trainBoot, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if model != nil {
 		sum := model.Summarize()
@@ -101,6 +85,39 @@ func cmdServe(r *experiments.Runner, args []string) {
 		os.Exit(1)
 	}
 	fmt.Println("depburst serve: drained, bye")
+}
+
+// loadModel builds the surrogate tier serve's flags ask for: the model in
+// modelFile, or with trainBoot one trained from r's disk-cache corpus (an
+// empty corpus gives an untrained model that learns online), or nil for no
+// tier. A model file that cannot be read is an error; one that does not
+// decode degrades to serving without the tier, with the reason on stderr.
+func loadModel(r *experiments.Runner, modelFile string, trainBoot bool, stderr io.Writer) (*surrogate.Model, error) {
+	switch {
+	case modelFile != "":
+		raw, err := os.ReadFile(modelFile)
+		if err != nil {
+			return nil, err
+		}
+		m, err := surrogate.Decode(raw)
+		if err != nil {
+			fmt.Fprintf(stderr, "depburst serve: serving without the surrogate tier: %s: %v\n", modelFile, err)
+			return nil, nil
+		}
+		return m, nil
+	case trainBoot:
+		if st := r.DiskCache(); st != nil {
+			samples, err := surrogate.Scan(st)
+			if err != nil {
+				return nil, err
+			}
+			if len(samples) > 0 {
+				return surrogate.Train(samples), nil
+			}
+		}
+		return surrogate.NewModel(), nil
+	}
+	return nil, nil
 }
 
 // cmdLoadtest drives a running server and asserts the latency/error

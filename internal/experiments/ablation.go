@@ -48,7 +48,7 @@ func (r *Runner) HoldOffAblation(bench string) *report.Table {
 	warm := []func(){func() { r.Truth(spec, FMax) }}
 	for _, hold := range holds {
 		hold := hold
-		warm = append(warm, func() { r.managedRunHold(spec, 0.10, hold) })
+		warm = append(warm, func() { r.managedRun(spec, 0.10, hold, r.Base.Quantum) })
 	}
 	r.FanOut(warm...)
 
@@ -58,7 +58,7 @@ func (r *Runner) HoldOffAblation(bench string) *report.Table {
 		Header: []string{"hold-off", "slowdown", "savings", "transitions"},
 	}
 	for _, hold := range holds {
-		res, _ := r.managedRunHold(spec, 0.10, hold)
+		res, _ := r.managedRun(spec, 0.10, hold, r.Base.Quantum)
 		slow := report.RelError(float64(res.Time), float64(ref.Time))
 		save := 1 - float64(res.Energy)/float64(ref.Energy)
 		t.AddRow(itoa(hold), report.Pct(slow), report.Pct(save), itoa(res.Transitions))
@@ -76,7 +76,7 @@ func (r *Runner) QuantumAblation(bench string) *report.Table {
 	warm := []func(){func() { r.Truth(spec, FMax) }}
 	for _, q := range quanta {
 		q := q
-		warm = append(warm, func() { r.managedRunQuantum(spec, 0.10, q) })
+		warm = append(warm, func() { r.managedRun(spec, 0.10, 1, q) })
 	}
 	r.FanOut(warm...)
 
@@ -86,7 +86,7 @@ func (r *Runner) QuantumAblation(bench string) *report.Table {
 		Header: []string{"quantum", "slowdown", "savings"},
 	}
 	for _, q := range quanta {
-		res, _ := r.managedRunQuantum(spec, 0.10, q)
+		res, _ := r.managedRun(spec, 0.10, 1, q)
 		slow := report.RelError(float64(res.Time), float64(ref.Time))
 		save := 1 - float64(res.Energy)/float64(ref.Energy)
 		t.AddRow(q.String(), report.Pct(slow), report.Pct(save))
@@ -100,7 +100,7 @@ func (r *Runner) QuantumAblation(bench string) *report.Table {
 // constant-latency assumption; with an idealised fixed-latency memory the
 // two engines converge.
 func (r *Runner) DRAMVariabilityAblation() *report.Table {
-	fixed := r.fork()
+	fixed := *r
 	fixed.Base.Hier.DRAM.TRCD = 0
 	fixed.Base.Hier.DRAM.TRP = 0
 	fixed.Base.Hier.DRAM.TCAS = 27500 // one uniform 27.5 ns access
@@ -116,7 +116,7 @@ func (r *Runner) DRAMVariabilityAblation() *report.Table {
 	for _, row := range []struct {
 		name string
 		rn   *Runner
-	}{{"variable (default)", r}, {"fixed latency", fixed}} {
+	}{{"variable (default)", r}, {"fixed latency", &fixed}} {
 		var errCrit, errLL []float64
 		for _, spec := range r.Suite() {
 			crit := core.NewDEP(core.Options{Engine: core.CRIT, Burst: true})

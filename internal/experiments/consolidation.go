@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"depburst/internal/dacapo"
 	"depburst/internal/energy"
 	"depburst/internal/kernel"
@@ -14,65 +12,21 @@ import (
 // coRunTruth runs a consolidated pair at frequency f (memoised and
 // singleflight-deduplicated like Truth).
 func (r *Runner) coRunTruth(a, b dacapo.Spec, f units.Freq) *sim.Result {
-	e := r.truthEntryFor(truthKey{bench: "corun/" + a.Name + "+" + b.Name, freq: f})
-	res, _, err := e.do(r.context(), func(ctx context.Context) (*sim.Result, any, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		cfg := r.Base
-		cfg.Freq = f
-		a.Configure(&cfg) // tenant 0 uses the machine's default JVM
-		key, ok := r.diskKey("corun-truth", cfg, a, b)
-		if res := r.diskGet(key, ok); res != nil {
-			return res, nil, nil
-		}
-		release, err := r.gate(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer release()
-		res, err := r.simulate(ctx, cfg, nil, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}})
-		if err != nil {
-			return nil, nil, err
-		}
-		r.diskPut(key, ok, res)
-		return res, nil, nil
-	})
-	if err != nil {
-		panic(canceled{err})
-	}
+	cfg := r.Base
+	cfg.Freq = f
+	a.Configure(&cfg) // tenant 0 uses the machine's default JVM
+	res, _ := unwind(r.run(r.context(), "corun-truth", cfg, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}}, nil, a, b))
 	return res
 }
 
 // coRunManaged runs the consolidated pair under the chip-wide energy
 // manager (memoised).
 func (r *Runner) coRunManaged(a, b dacapo.Spec, threshold float64) *sim.Result {
-	res, _ := r.runDo(runKey{kind: runCoRunChip, bench: a.Name + "+" + b.Name, threshold: threshold, holdOff: 1},
-		func(ctx context.Context) (*sim.Result, any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			cfg := r.Base
-			cfg.Freq = FMax
-			a.Configure(&cfg)
-			mcfg := energy.DefaultManagerConfig(threshold)
-			key, ok := r.diskKey("corun-chip", cfg, a, b, mcfg)
-			if res := r.diskGet(key, ok); res != nil {
-				return res, nil, nil
-			}
-			release, err := r.gate(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			mg := energy.NewManager(mcfg)
-			res, err := r.simulate(ctx, cfg, func(m *sim.Machine) { m.SetGovernor(mg.Governor()) }, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.diskPut(key, ok, res)
-			return res, mg, nil
-		})
+	cfg := r.Base
+	cfg.Freq = FMax
+	a.Configure(&cfg)
+	mcfg := energy.DefaultManagerConfig(threshold)
+	res, _ := unwind(r.run(r.context(), "corun-chip", cfg, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}}, chipGovernor(mcfg), a, b, mcfg))
 	return res
 }
 

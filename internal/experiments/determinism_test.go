@@ -17,8 +17,8 @@ import (
 )
 
 // renderSet renders a representative experiment set — pure truth-run
-// figures, governed runs, a fork-based sweep and the multi-tenant co-runs —
-// exactly as the CLI would print them.
+// figures, governed runs and the multi-tenant co-runs — exactly as the CLI
+// would print them.
 func renderSet(r *Runner) string {
 	var b strings.Builder
 	r.Table1().Fprint(&b)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"depburst/internal/dacapo"
 	"depburst/internal/energy"
 	"depburst/internal/report"
@@ -18,71 +16,30 @@ import (
 // is nil when the result was served from the persistent disk cache (only
 // results persist, and no current experiment consumes the manager).
 func (r *Runner) ManagedRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.Manager) {
-	return r.managedRunHold(spec, threshold, 1)
+	return r.managedRun(spec, threshold, 1, r.Base.Quantum)
 }
 
-func (r *Runner) managedRunHold(spec dacapo.Spec, threshold float64, holdOff int) (*sim.Result, *energy.Manager) {
-	res, mgrAny := r.runDo(runKey{kind: runChip, bench: spec.Name, threshold: threshold, holdOff: holdOff},
-		func(ctx context.Context) (*sim.Result, any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			cfg := r.Base
-			cfg.Freq = FMax
-			spec.Configure(&cfg)
-			mcfg := energy.DefaultManagerConfig(threshold)
-			mcfg.HoldOff = holdOff
-			key, ok := r.diskKey("chip", cfg, spec, mcfg)
-			if res := r.diskGet(key, ok); res != nil {
-				return res, nil, nil
-			}
-			release, err := r.gate(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			mg := energy.NewManager(mcfg)
-			res, err := r.simulate(ctx, cfg, func(m *sim.Machine) { m.SetGovernor(mg.Governor()) }, dacapo.New(spec))
-			if err != nil {
-				return nil, nil, err
-			}
-			r.diskPut(key, ok, res)
-			return res, mg, nil
-		})
-	mg, _ := mgrAny.(*energy.Manager)
+// managedRun is ManagedRun with the manager's hold-off and the DVFS
+// quantum exposed for the ablations.
+func (r *Runner) managedRun(spec dacapo.Spec, threshold float64, holdOff int, quantum units.Time) (*sim.Result, *energy.Manager) {
+	cfg := r.Base
+	cfg.Freq = FMax
+	cfg.Quantum = quantum
+	spec.Configure(&cfg)
+	mcfg := energy.DefaultManagerConfig(threshold)
+	mcfg.HoldOff = holdOff
+	res, mgr := unwind(r.run(r.context(), "chip", cfg, dacapo.New(spec), chipGovernor(mcfg), spec, mcfg))
+	mg, _ := mgr.(*energy.Manager)
 	return res, mg
 }
 
-func (r *Runner) managedRunQuantum(spec dacapo.Spec, threshold float64, quantum units.Time) (*sim.Result, *energy.Manager) {
-	res, mgrAny := r.runDo(runKey{kind: runChip, bench: spec.Name, threshold: threshold, holdOff: 1, quantum: quantum},
-		func(ctx context.Context) (*sim.Result, any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			cfg := r.Base
-			cfg.Freq = FMax
-			cfg.Quantum = quantum
-			spec.Configure(&cfg)
-			mcfg := energy.DefaultManagerConfig(threshold)
-			key, ok := r.diskKey("chip", cfg, spec, mcfg)
-			if res := r.diskGet(key, ok); res != nil {
-				return res, nil, nil
-			}
-			release, err := r.gate(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			mg := energy.NewManager(mcfg)
-			res, err := r.simulate(ctx, cfg, func(m *sim.Machine) { m.SetGovernor(mg.Governor()) }, dacapo.New(spec))
-			if err != nil {
-				return nil, nil, err
-			}
-			r.diskPut(key, ok, res)
-			return res, mg, nil
-		})
-	mg, _ := mgrAny.(*energy.Manager)
-	return res, mg
+// chipGovernor installs a chip-wide DEP+BURST manager on a machine.
+func chipGovernor(mcfg energy.ManagerConfig) func(*sim.Machine) any {
+	return func(m *sim.Machine) any {
+		mg := energy.NewManager(mcfg)
+		m.SetGovernor(mg.Governor())
+		return mg
+	}
 }
 
 // Fig6 reproduces Figure 6: per-benchmark slowdown and energy savings under
@@ -135,33 +92,16 @@ func (r *Runner) Fig6() *report.Table {
 // PerCoreRun executes spec under the per-core DVFS manager (memoised).
 // The manager is nil when the result came from the persistent disk cache.
 func (r *Runner) PerCoreRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.PerCoreManager) {
-	res, mgrAny := r.runDo(runKey{kind: runPerCore, bench: spec.Name, threshold: threshold},
-		func(ctx context.Context) (*sim.Result, any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			cfg := r.Base
-			cfg.Freq = FMax
-			spec.Configure(&cfg)
-			mcfg := energy.DefaultManagerConfig(threshold)
-			key, ok := r.diskKey("percore", cfg, spec, mcfg)
-			if res := r.diskGet(key, ok); res != nil {
-				return res, nil, nil
-			}
-			release, err := r.gate(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			mg := energy.NewPerCoreManager(mcfg)
-			res, err := r.simulate(ctx, cfg, func(m *sim.Machine) { m.SetCoreGovernor(mg.Governor()) }, dacapo.New(spec))
-			if err != nil {
-				return nil, nil, err
-			}
-			r.diskPut(key, ok, res)
-			return res, mg, nil
-		})
-	mg, _ := mgrAny.(*energy.PerCoreManager)
+	cfg := r.Base
+	cfg.Freq = FMax
+	spec.Configure(&cfg)
+	mcfg := energy.DefaultManagerConfig(threshold)
+	res, mgr := unwind(r.run(r.context(), "percore", cfg, dacapo.New(spec), func(m *sim.Machine) any {
+		mg := energy.NewPerCoreManager(mcfg)
+		m.SetCoreGovernor(mg.Governor())
+		return mg
+	}, spec, mcfg))
+	mg, _ := mgr.(*energy.PerCoreManager)
 	return res, mg
 }
 

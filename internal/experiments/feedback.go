@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"depburst/internal/dacapo"
 	"depburst/internal/energy"
 	"depburst/internal/report"
@@ -13,33 +11,16 @@ import (
 // (memoised). The manager is nil when the result came from the persistent
 // disk cache.
 func (r *Runner) FeedbackRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.FeedbackManager) {
-	res, mgrAny := r.runDo(runKey{kind: runFeedback, bench: spec.Name, threshold: threshold},
-		func(ctx context.Context) (*sim.Result, any, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			cfg := r.Base
-			cfg.Freq = FMax
-			spec.Configure(&cfg)
-			mcfg := energy.DefaultManagerConfig(threshold)
-			key, ok := r.diskKey("feedback", cfg, spec, mcfg)
-			if res := r.diskGet(key, ok); res != nil {
-				return res, nil, nil
-			}
-			release, err := r.gate(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			mg := energy.NewFeedbackManager(mcfg)
-			res, err := r.simulate(ctx, cfg, func(m *sim.Machine) { m.SetGovernor(mg.Governor()) }, dacapo.New(spec))
-			if err != nil {
-				return nil, nil, err
-			}
-			r.diskPut(key, ok, res)
-			return res, mg, nil
-		})
-	mg, _ := mgrAny.(*energy.FeedbackManager)
+	cfg := r.Base
+	cfg.Freq = FMax
+	spec.Configure(&cfg)
+	mcfg := energy.DefaultManagerConfig(threshold)
+	res, mgr := unwind(r.run(r.context(), "feedback", cfg, dacapo.New(spec), func(m *sim.Machine) any {
+		mg := energy.NewFeedbackManager(mcfg)
+		m.SetGovernor(mg.Governor())
+		return mg
+	}, spec, mcfg))
+	mg, _ := mgr.(*energy.FeedbackManager)
 	return res, mg
 }
 

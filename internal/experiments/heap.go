@@ -25,26 +25,21 @@ func (r *Runner) HeapPressureSweep(bench string) *report.Table {
 	dep := core.NewDEPBurst()
 	mcrit := core.NewMCrit(core.Options{})
 	nurseries := []int64{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
-	// Each nursery size is its own machine configuration: fork a runner per
-	// point and fan the whole sweep out before assembling rows.
-	runners := make([]*Runner, len(nurseries))
+	// Nursery is part of the spec, so each point has its own memo key: the
+	// whole sweep fans out on this Runner before rows are assembled.
 	specs := make([]dacapo.Spec, len(nurseries))
-	var warm []func()
 	for i, nursery := range nurseries {
-		rn := r.fork()
-		s := spec
-		s.Nursery = nursery
-		runners[i], specs[i] = rn, s
-		warm = append(warm, func() { rn.Prewarm([]dacapo.Spec{s}, 1000, 4000) })
+		specs[i] = spec
+		specs[i].Nursery = nursery
 	}
-	r.FanOut(warm...)
+	r.Prewarm(specs, 1000, 4000)
 
 	for i, nursery := range nurseries {
-		rn, s := runners[i], specs[i]
-		res := rn.Truth(s, 1000)
+		s := specs[i]
+		res := r.Truth(s, 1000)
 		gcFrac := float64(res.GC.GCTime) / float64(res.Time)
-		eDep := rn.PredictionError(s, dep, 1000, 4000)
-		eM := rn.PredictionError(s, mcrit, 1000, 4000)
+		eDep := r.PredictionError(s, dep, 1000, 4000)
+		eM := r.PredictionError(s, mcrit, 1000, 4000)
 		t.AddRow(fmt.Sprintf("%dKiB", nursery>>10),
 			itoa(res.GC.MinorGCs+res.GC.MajorGCs),
 			report.PctAbs(gcFrac),

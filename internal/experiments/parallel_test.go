@@ -81,11 +81,11 @@ func TestManagedRunSingleflight(t *testing.T) {
 		}
 	}
 	// Distinct tuning parameters must NOT share an entry.
-	hold, _ := r.managedRunHold(spec, 0.10, 4)
+	hold, _ := r.managedRun(spec, 0.10, 4, r.Base.Quantum)
 	if hold == results[0] {
 		t.Error("hold-off 4 shares the hold-off 1 cache entry")
 	}
-	q, _ := r.managedRunQuantum(spec, 0.10, r.Base.Quantum*2)
+	q, _ := r.managedRun(spec, 0.10, 1, r.Base.Quantum*2)
 	if q == results[0] || q == hold {
 		t.Error("quantum variant shares another entry")
 	}
@@ -110,22 +110,26 @@ func TestFanOutPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestForkSharesPool: forked runners must share the parent's semaphore (one
-// global simulation cap) but not its cache.
-func TestForkSharesPool(t *testing.T) {
+// TestDerivedRunnerSharesMemo: a copy of a Runner shares the worker pool
+// (one global simulation cap) and the memo; with the same Base it shares
+// the entry, and a changed Base keys a separate one.
+func TestDerivedRunnerSharesMemo(t *testing.T) {
 	r := NewRunnerWorkers(3)
-	f := r.fork()
-	if f.sem != r.sem || f.workers != r.workers {
-		t.Error("fork did not share the worker pool")
+	d := *r
+	if d.sem != r.sem || d.workers != r.workers {
+		t.Error("derived Runner did not share the worker pool")
 	}
 	spec, _ := dacapo.ByName("pmd.scale")
 	a := r.Truth(spec, 1000)
-	b := f.Truth(spec, 1000)
-	if a == b {
-		t.Error("fork shares the parent's cache (must be independent: forks vary the machine)")
+	if b := d.Truth(spec, 1000); b != a {
+		t.Error("same Base did not share the memo entry")
 	}
-	if a.Time != b.Time || a.Energy != b.Energy {
-		t.Error("identical configs in parent and fork produced different results")
+	d.Base.Seed++
+	if d.Truth(spec, 1000) == a {
+		t.Error("changed Base was served the parent's entry")
+	}
+	if n := r.Simulations(); n != 2 {
+		t.Errorf("simulations = %d, want 2", n)
 	}
 }
 
@@ -136,7 +140,7 @@ func TestPrewarmFillsCache(t *testing.T) {
 	spec, _ := dacapo.ByName("pmd.scale")
 	r.Prewarm([]dacapo.Spec{spec}, 1000, 2000)
 	r.memo.mu.Lock()
-	n := len(r.memo.truth)
+	n := len(r.memo.m)
 	r.memo.mu.Unlock()
 	if n != 2 {
 		t.Fatalf("cache has %d entries after Prewarm, want 2", n)

@@ -21,7 +21,7 @@ func (r *Runner) RegressionComparison() *report.Table {
 	// Profiling runs happen on a different day than the deployment run:
 	// model run-to-run variation with a different workload seed for the
 	// training runs (inputs vary between invocations in practice).
-	trainer := r.fork()
+	trainer := *r
 	trainer.Base.Seed = r.Base.Seed + 100
 	r.FanOut(
 		func() { trainer.Prewarm(r.Suite(), 1000, 2000) },

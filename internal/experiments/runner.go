@@ -3,13 +3,13 @@
 // 3(b), 4, 6 and 7. Each experiment returns a report.Table whose rows
 // mirror what the paper plots.
 //
-// Ground-truth simulations are pure functions of (benchmark, frequency,
-// seed), so the experiment matrix is embarrassingly parallel: the Runner
-// executes truth runs on a bounded worker pool with singleflight
-// deduplication, each experiment fans its whole truth-run set out up front
-// (Prewarm / FanOut), and rows are then assembled serially from the
-// memoised results — which makes the rendered tables byte-identical at any
-// worker count.
+// Simulations are pure functions of their full input (machine
+// configuration, workload, governor), so the experiment matrix is
+// embarrassingly parallel: the Runner executes runs on a bounded worker
+// pool with singleflight deduplication under a content key over that whole
+// input, each experiment fans its whole run set out up front (Prewarm /
+// FanOut), and rows are then assembled serially from the memoised results
+// — which makes the rendered tables byte-identical at any worker count.
 //
 // The Runner is also cancellable: WithContext binds a context, every
 // simulation polls it once per sampling quantum, and cancellation unwinds
@@ -43,15 +43,18 @@ var (
 	FMax units.Freq = 4000
 )
 
-// Runner executes and memoises ground-truth benchmark runs. Truth runs are
-// pure functions of (benchmark, frequency, seed), so each is executed once
-// and shared across experiments.
+// Runner executes and memoises benchmark runs. Runs are pure functions of
+// their full input, so each is executed once and shared across experiments.
 //
 // The Runner is safe for concurrent use: concurrent callers asking for the
-// same key block on one in-flight simulation (singleflight) instead of
+// same run block on one in-flight simulation (singleflight) instead of
 // duplicating it, and the number of simulations executing at once is capped
 // by the worker pool (SetWorkers). Each simulation owns its engine, kernel
 // and RNG, so results are independent of scheduling order.
+//
+// A copy of a Runner (rn := *r) is a derived Runner: it shares the memo,
+// worker pool, disk cache and simulation counter, and may change Base
+// freely, because Base is part of every memo key.
 type Runner struct {
 	// Base is the machine template; per-run copies adjust frequency and
 	// the benchmark's JVM sizing.
@@ -72,32 +75,57 @@ type Runner struct {
 
 	// suite overrides the benchmark set the Runner's experiments iterate
 	// (nil = the stock paper suite). Serving and tests use small or
-	// scaled suites; forks inherit the override.
+	// scaled suites; copies inherit the override.
 	suite []dacapo.Spec
 
 	// sims counts simulations actually executed (not served from memo or
-	// disk). Shared across WithContext bindings and forks so servers can
-	// assert and export one global figure.
+	// disk). Shared by every copy so servers can assert and export one
+	// global figure.
 	sims *atomic.Int64
 
-	// memo holds the singleflight tables. WithContext bindings share it;
-	// fork creates a fresh one (different machine template, same pool).
+	// memo holds the singleflight slots, shared by every copy.
 	memo *memo
 }
 
+// memo maps a run's content key (see contentKey) to its slot.
 type memo struct {
 	mu sync.Mutex
 	//depburst:guardedby mu
-	truth map[truthKey]*entry
-	//depburst:guardedby mu
-	runs map[runKey]*entry
+	m map[string]*entry
 }
 
-// resultFingerprint pins the structure of sim.Result into every disk-cache
-// key, and diskKey puts sim.CodecVersion beside it, so a binary whose
+// slot returns the singleflight slot for key, creating it if needed.
+func (m *memo) slot(key string) *entry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.m[key]
+	if !ok {
+		e = &entry{}
+		m.m[key] = e
+	}
+	return e
+}
+
+// resultFingerprint pins the structure of sim.Result into every content
+// key, and contentKey puts sim.CodecVersion beside it, so a binary whose
 // result schema or encoding differs always misses instead of purging the
 // other binary's entries.
 var resultFingerprint = simcache.Fingerprint(sim.Result{})
+
+// contentKey is the one key of a run, in the memo and on disk: the result
+// schema fingerprint and codec version, the run kind, the complete machine
+// configuration (which carries frequency, quantum, seed, sampling policy
+// and the benchmark's JVM sizing) and every other input — benchmark specs,
+// governor parameters. Keying fails only on NaN or Inf, which no caller
+// passes, so a failure is a bug and panics.
+func contentKey(kind string, cfg sim.Config, extra ...any) string {
+	cfg.Metrics = nil // observability never changes results
+	key, err := simcache.Key(append([]any{resultFingerprint, sim.CodecVersion, kind, cfg}, extra...)...)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s run: %v", kind, err))
+	}
+	return key
+}
 
 // SetDiskCache attaches a persistent result store (nil detaches). Attach it
 // before launching work; runs already in flight are unaffected.
@@ -120,12 +148,12 @@ func (r *Runner) Suite() []dacapo.Spec {
 }
 
 // Simulations reports how many simulations this Runner (including its
-// WithContext bindings and forks) actually executed — memo and disk-cache
+// copies and WithContext bindings) actually executed — memo and disk-cache
 // hits are not counted. Servers use it to verify request coalescing.
 func (r *Runner) Simulations() int64 { return r.sims.Load() }
 
-// WithContext returns a Runner bound to ctx that shares this Runner's memo
-// tables, worker pool, disk cache and simulation counter. Work launched
+// WithContext returns a Runner bound to ctx that shares this Runner's memo,
+// worker pool, disk cache and simulation counter. Work launched
 // through the binding — including experiment table methods — aborts
 // promptly once ctx is cancelled: simulations poll the context each
 // sampling quantum, and the cancellation unwinds as a panic that Cancelable
@@ -170,79 +198,13 @@ func Cancelable(fn func()) (err error) {
 	return nil
 }
 
-// diskKey computes the content address for one run family: the result
-// schema fingerprint and codec version, the run kind, the complete machine
-// configuration (which carries frequency, quantum, seed and the
-// benchmark's JVM sizing) and any extra inputs — benchmark specs, governor
-// parameters. ok is false when no store is attached or the inputs fail to
-// encode.
-func (r *Runner) diskKey(kind string, cfg sim.Config, extra ...any) (string, bool) {
-	if r.disk == nil {
-		return "", false
-	}
-	cfg.Metrics = nil // observability never changes results
-	parts := append([]any{resultFingerprint, sim.CodecVersion, kind, cfg}, extra...)
-	key, err := simcache.Key(parts...)
+// unwind passes a run's outcome through, converting cancellation into the
+// panic Cancelable recovers.
+func unwind(res *sim.Result, mgr any, err error) (*sim.Result, any) {
 	if err != nil {
-		return "", false
+		panic(canceled{err})
 	}
-	return key, true
-}
-
-// diskGet serves a memoised run family slot from the persistent store.
-func (r *Runner) diskGet(key string, ok bool) *sim.Result {
-	if !ok {
-		return nil
-	}
-	var res sim.Result
-	if !r.disk.Get(key, &res) {
-		return nil
-	}
-	return &res
-}
-
-// diskPut writes a freshly simulated result back, best effort: a full or
-// read-only cache must never fail the experiment that produced the result.
-func (r *Runner) diskPut(key string, ok bool, res *sim.Result) {
-	if ok {
-		_ = r.disk.Put(key, res)
-	}
-}
-
-// putTruthMeta installs the surrogate training sidecar next to a cached
-// full-detail truth entry, best effort — it is what turns the cache into a
-// scannable corpus. Hits backfill sidecars missing from older corpora.
-// Sampled-mode results are approximations and are never offered to the
-// trainer.
-func (r *Runner) putTruthMeta(key string, ok bool, cfg sim.Config, spec dacapo.Spec) {
-	if !ok || cfg.Sampling.Enabled || r.disk.HasMeta(key) {
-		return
-	}
-	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(cfg, spec))
-}
-
-type truthKey struct {
-	bench string
-	freq  units.Freq
-}
-
-// runKind distinguishes the governed (energy-managed) run families, which
-// are memoised alongside truth runs with their tuning parameters as key.
-type runKind uint8
-
-const (
-	runChip runKind = iota
-	runPerCore
-	runFeedback
-	runCoRunChip
-)
-
-type runKey struct {
-	kind      runKind
-	bench     string
-	threshold float64
-	holdOff   int
-	quantum   units.Time
+	return res, mgr
 }
 
 // entry is one singleflight memo slot. Unlike a sync.Once slot it is
@@ -259,8 +221,8 @@ type entry struct {
 	mgr any
 }
 
-// execFn is one run family's body. It returns the result and (for governed
-// families) the manager. It must return a non-nil error only for context
+// execFn is one run's body. It returns the result and (for governed runs)
+// the manager. It must return a non-nil error only for context
 // cancellation; simulator failures panic, as they indicate bugs.
 type execFn func(ctx context.Context) (*sim.Result, any, error)
 
@@ -324,18 +286,15 @@ func NewRunnerWorkers(n int) *Runner {
 	r := &Runner{
 		Base: sim.DefaultConfig(),
 		sims: new(atomic.Int64),
-		memo: &memo{
-			truth: make(map[truthKey]*entry),
-			runs:  make(map[runKey]*entry),
-		},
+		memo: &memo{m: make(map[string]*entry)},
 	}
 	r.SetWorkers(n)
 	return r
 }
 
 // SetWorkers resizes the simulation pool. Call it before launching work
-// (and before WithContext/fork derivations); in-flight simulations keep the
-// slot they already hold.
+// (and before copying the Runner); in-flight simulations keep the slot
+// they already hold.
 func (r *Runner) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -350,42 +309,18 @@ func (r *Runner) Workers() int { return r.workers }
 // SetSampling installs a sampled-simulation policy on the Runner's base
 // machine configuration. Every subsequent simulation the Runner launches
 // runs under the policy; results carry the sampled error-bound report and
-// the policy enters both the in-memory memo (a Runner holds exactly one
-// policy) and the persistent cache's content key (the policy is part of
-// sim.Config), so sampled and full-detail results can never alias. Call
-// before launching work.
+// the policy enters the content key (it is part of sim.Config), so sampled
+// and full-detail results can never alias. Call before launching work, or
+// on a copy of a Runner that is already serving.
 func (r *Runner) SetSampling(p sampling.Policy) { r.Base.Sampling = p.Normalized() }
 
 // Sampling returns the Runner's sampled-simulation policy (zero value:
 // full detail).
 func (r *Runner) Sampling() sampling.Policy { return r.Base.Sampling }
 
-// WithSampling returns a Runner sharing this Runner's worker pool, disk
-// cache and simulation counter, but with independent memo tables and the
-// given sampling policy — the per-policy isolation the prediction service
-// uses so one process can serve both sampled and full-detail requests.
-func (r *Runner) WithSampling(p sampling.Policy) *Runner {
-	nr := r.fork()
-	nr.Base.Sampling = p.Normalized()
-	return nr
-}
-
-// fork returns a Runner with the same Base and the same worker pool but an
-// independent memo cache — used by experiments that vary the machine (other
-// seeds, GC policies, DRAM models), so their fan-out still respects one
-// global simulation cap.
-func (r *Runner) fork() *Runner {
-	nr := *r
-	nr.memo = &memo{
-		truth: make(map[truthKey]*entry),
-		runs:  make(map[runKey]*entry),
-	}
-	return &nr
-}
-
 // gate blocks until a pool slot is free and returns the release func, or
 // gives up with ctx's error when the context is cancelled while queued.
-// Only the leaf helpers that actually execute a simulation acquire a slot;
+// Only runs that actually execute a simulation acquire a slot;
 // experiment-level fan-out goroutines block in singleflight waits without
 // holding one, so nesting FanOut/Prewarm cannot deadlock the pool.
 func (r *Runner) gate(ctx context.Context) (func(), error) {
@@ -400,49 +335,66 @@ func (r *Runner) gate(ctx context.Context) (func(), error) {
 	}
 }
 
-// truthEntryFor returns the singleflight slot for key, creating it if
-// needed.
-func (r *Runner) truthEntryFor(key truthKey) *entry {
-	m := r.memo
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.truth[key]
-	if !ok {
-		e = &entry{}
-		m.truth[key] = e
-	}
-	return e
-}
-
-func (r *Runner) runEntryFor(key runKey) *entry {
-	m := r.memo
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.runs[key]
-	if !ok {
-		e = &entry{}
-		m.runs[key] = e
-	}
-	return e
-}
-
-// simulate executes one machine under ctx, counting it against the
-// Runner's simulation tally. Cancellation returns ctx's error; any other
-// simulator failure panics (it indicates a bug, never a caller mistake).
-func (r *Runner) simulate(ctx context.Context, cfg sim.Config, setup func(*sim.Machine), w sim.Workload) (*sim.Result, error) {
-	r.sims.Add(1)
-	m := sim.New(cfg)
-	if setup != nil {
-		setup(m)
-	}
-	out, err := m.RunContext(ctx, w)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+// run resolves one memoised run of workload w on machine cfg: the memo,
+// then the disk cache, then a pool slot and a live simulation written back
+// to disk. kind names the run family and extra carries every input beyond
+// cfg that shapes the result; together they form the content key. govern,
+// when non-nil, installs a governor on the machine and returns its
+// manager, which is memoised beside the result (nil on disk hits: only
+// results persist). A full-detail truth run of one benchmark also leaves
+// the surrogate training sidecar next to its disk entry.
+func (r *Runner) run(ctx context.Context, kind string, cfg sim.Config, w sim.Workload, govern func(*sim.Machine) any, extra ...any) (*sim.Result, any, error) {
+	key := contentKey(kind, cfg, extra...)
+	return r.memo.slot(key).do(ctx, func(ctx context.Context) (*sim.Result, any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		panic(fmt.Sprintf("experiments: %s@%v: %v", w.Name(), cfg.Freq, err))
+		if r.disk != nil {
+			var res sim.Result
+			if r.disk.Get(key, &res) {
+				r.putTruthMeta(key, cfg, w, govern)
+				return &res, nil, nil
+			}
+		}
+		release, err := r.gate(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer release()
+		r.sims.Add(1)
+		m := sim.New(cfg)
+		var mgr any
+		if govern != nil {
+			mgr = govern(m)
+		}
+		out, err := m.RunContext(ctx, w)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, nil, cerr
+			}
+			panic(fmt.Sprintf("experiments: %s@%v: %v", w.Name(), cfg.Freq, err))
+		}
+		if r.disk != nil {
+			// Best effort: a full or read-only cache must never fail the
+			// experiment that produced the result.
+			_ = r.disk.Put(key, &out)
+			r.putTruthMeta(key, cfg, w, govern)
+		}
+		return &out, mgr, nil
+	})
+}
+
+// putTruthMeta installs the surrogate training sidecar next to a cached
+// full-detail truth entry, best effort — it is what turns the cache into a
+// scannable corpus. Hits backfill sidecars missing from older corpora.
+// Governed, co-run, sequential and sampled-mode results are never offered
+// to the trainer.
+func (r *Runner) putTruthMeta(key string, cfg sim.Config, w sim.Workload, govern func(*sim.Machine) any) {
+	b, ok := w.(*dacapo.Workload)
+	if !ok || govern != nil || cfg.Sampling.Enabled || r.disk.HasMeta(key) {
+		return
 	}
-	return &out, nil
+	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(cfg, b.Spec))
 }
 
 // Truth returns the measured run of spec at frequency f. The run is
@@ -463,45 +415,11 @@ func (r *Runner) Truth(spec dacapo.Spec, f units.Freq) *sim.Result {
 // aborts, if this caller was the flight leader) is retried by the next
 // caller.
 func (r *Runner) TruthCtx(ctx context.Context, spec dacapo.Spec, f units.Freq) (*sim.Result, error) {
-	e := r.truthEntryFor(truthKey{bench: spec.Name, freq: f})
-	res, _, err := e.do(ctx, func(ctx context.Context) (*sim.Result, any, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		cfg := r.Base
-		cfg.Freq = f
-		spec.Configure(&cfg)
-		key, ok := r.diskKey("truth", cfg, spec)
-		if res := r.diskGet(key, ok); res != nil {
-			r.putTruthMeta(key, ok, cfg, spec)
-			return res, nil, nil
-		}
-		release, err := r.gate(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer release()
-		res, err := r.simulate(ctx, cfg, nil, dacapo.New(spec))
-		if err != nil {
-			return nil, nil, err
-		}
-		r.diskPut(key, ok, res)
-		r.putTruthMeta(key, ok, cfg, spec)
-		return res, nil, nil
-	})
+	cfg := r.Base
+	cfg.Freq = f
+	spec.Configure(&cfg)
+	res, _, err := r.run(ctx, "truth", cfg, dacapo.New(spec), nil, spec)
 	return res, err
-}
-
-// runDo resolves a governed-run memo slot under the Runner's binding
-// context, converting cancellation into the unwind panic. exec's manager
-// return is memoised alongside the result (nil on disk hits).
-func (r *Runner) runDo(key runKey, exec execFn) (*sim.Result, any) {
-	e := r.runEntryFor(key)
-	res, mgr, err := e.do(r.context(), exec)
-	if err != nil {
-		panic(canceled{err})
-	}
-	return res, mgr
 }
 
 // FanOut runs the closures concurrently and waits for all of them. The

@@ -27,6 +27,53 @@ func TestTruthMemoised(t *testing.T) {
 	}
 }
 
+// TestSameNameSpecsDoNotAlias: specs that share a name but differ in any
+// parameter are different runs. Each must be served the result a fresh
+// Runner computes for it, never a memo slot filled by its namesake.
+func TestSameNameSpecsDoNotAlias(t *testing.T) {
+	spec, err := dacapo.ByName("pmd.scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := spec.Scaled(0.05)
+	nursery := small
+	nursery.Nursery = 256 << 10
+	for _, tc := range []struct {
+		name   string
+		first  dacapo.Spec
+		second dacapo.Spec
+	}{
+		{"items", small, spec.Scaled(0.1)},
+		{"nursery", small, nursery},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunnerWorkers(1)
+			r.Truth(tc.first, 1000)
+			got := r.Truth(tc.second, 1000)
+			want := NewRunnerWorkers(1).Truth(tc.second, 1000)
+			if got.Time != want.Time {
+				t.Errorf("second spec served %v, a fresh Runner computes %v", got.Time, want.Time)
+			}
+			if n := r.Simulations(); n != 2 {
+				t.Errorf("simulations = %d, want 2", n)
+			}
+		})
+	}
+	t.Run("managed", func(t *testing.T) {
+		r := NewRunnerWorkers(1)
+		r.ManagedRun(small, 0.10)
+		got, _ := r.ManagedRun(spec.Scaled(0.1), 0.10)
+		want, _ := NewRunnerWorkers(1).ManagedRun(spec.Scaled(0.1), 0.10)
+		if got.Time != want.Time || got.Energy != want.Energy {
+			t.Errorf("second spec served %v/%v, a fresh Runner computes %v/%v",
+				got.Time, got.Energy, want.Time, want.Energy)
+		}
+		if n := r.Simulations(); n != 2 {
+			t.Errorf("simulations = %d, want 2", n)
+		}
+	})
+}
+
 func TestObserveMapping(t *testing.T) {
 	r := NewRunner()
 	spec, _ := dacapo.ByName("pmd.scale")

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -8,6 +10,8 @@ import (
 	"testing"
 
 	"depburst/internal/dacapo"
+	"depburst/internal/energy"
+	"depburst/internal/metrics"
 	"depburst/internal/sampling"
 	"depburst/internal/simcache"
 	"depburst/internal/units"
@@ -121,71 +125,135 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
-// TestSamplingKeyDiscrimination audits the persistent cache key: every
-// field of the sampling policy must enter it, so results simulated under
-// different policies (or under full detail) can never alias. The test
-// perturbs each field by reflection — a field added to Policy without
-// reaching the key fails here automatically.
-func TestSamplingKeyDiscrimination(t *testing.T) {
-	st, err := simcache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestContentKeyAudit audits the one run key by reflection. Perturbing any
+// leaf field of sim.Config (recursively) or of dacapo.Spec must give a run
+// its own memo slot, and so must each energy.ManagerConfig field for a
+// governed run and each of the sequential workloads; the Metrics handle
+// and a disabled sampling policy must not. Slots are counted under a
+// cancelled context, so nothing simulates: truth and sequential runs
+// through their call sites, the machine and manager configurations
+// through run itself (a truth run's spec overwrites the Base JVM sizing).
+// A field added without reaching the key, or of a kind the audit does not
+// cover, fails here.
+func TestContentKeyAudit(t *testing.T) {
 	spec, err := dacapo.ByName("pmd.scale")
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyFor := func(p sampling.Policy) string {
-		r := NewRunnerWorkers(1)
-		r.SetDiskCache(st)
-		r.SetSampling(p)
-		cfg := r.Base
-		cfg.Freq = 1000
-		spec.Configure(&cfg)
-		key, ok := r.diskKey("truth", cfg, spec)
-		if !ok {
-			t.Fatal("diskKey failed to encode the configuration")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunnerWorkers(1)
+	// open runs call on a copy of r and requires it to add want slots.
+	open := func(name string, want int, call func(d *Runner)) {
+		t.Helper()
+		r.memo.mu.Lock()
+		before := len(r.memo.m)
+		r.memo.mu.Unlock()
+		d := *r
+		call(&d)
+		r.memo.mu.Lock()
+		got := len(r.memo.m) - before
+		r.memo.mu.Unlock()
+		if got != want {
+			t.Errorf("%s: opened %d memo slots, want %d", name, got, want)
 		}
-		return key
+	}
+	truth := func(s dacapo.Spec) func(d *Runner) {
+		return func(d *Runner) {
+			if _, err := d.TruthCtx(ctx, s, 1000); !errors.Is(err, context.Canceled) {
+				t.Fatalf("truth run under a cancelled context: %v", err)
+			}
+		}
 	}
 
-	keys := map[string]string{
-		"full-detail": keyFor(sampling.Policy{}),
-		"default":     keyFor(sampling.DefaultPolicy()),
-	}
-	base := sampling.DefaultPolicy()
-	rv := reflect.ValueOf(base)
-	for i := 0; i < rv.NumField(); i++ {
-		field := rv.Type().Field(i)
-		p := base
-		fv := reflect.ValueOf(&p).Elem().Field(i)
-		switch fv.Kind() {
-		case reflect.Bool:
-			fv.SetBool(!fv.Bool())
-		case reflect.Int:
-			fv.SetInt(fv.Int() + 1)
-		case reflect.Float64:
-			fv.SetFloat(fv.Float() * 1.5)
-		default:
-			t.Fatalf("Policy.%s has kind %v the perturbation audit does not cover; extend it",
-				field.Name, fv.Kind())
+	mcfg := energy.DefaultManagerConfig(0.10)
+	chip := func(d *Runner) {
+		if _, _, err := d.run(ctx, "chip", d.Base, nil, nil, spec, mcfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("governed run under a cancelled context: %v", err)
 		}
-		name := fmt.Sprintf("perturbed %s", field.Name)
-		if field.Name == "Enabled" {
-			// Flipping Enabled lands on the full-detail key, which is
-			// already present — the pair that MUST collide.
-			if keyFor(p) != keys["full-detail"] {
-				t.Errorf("disabled policy key differs from full-detail key")
+	}
+
+	open("truth", 1, truth(spec))
+	open("chip", 1, chip)
+	open("Metrics", 0, func(d *Runner) {
+		d.Base.Metrics = metrics.NewRegistry()
+		chip(d)
+	})
+	open("disabled sampling policy", 0, func(d *Runner) {
+		d.SetSampling(sampling.Policy{K: 99})
+		truth(spec)(d)
+	})
+	open("default sampling policy", 1, func(d *Runner) {
+		d.SetSampling(sampling.DefaultPolicy())
+		truth(spec)(d)
+	})
+	perturbLeaves(t, "sim.Config", reflect.ValueOf(&r.Base).Elem(), func(path string) {
+		if path != "sim.Config.Metrics" {
+			open(path, 1, chip)
+		}
+	})
+	s := spec
+	perturbLeaves(t, "dacapo.Spec", reflect.ValueOf(&s).Elem(), func(path string) {
+		open(path, 1, truth(s))
+	})
+	perturbLeaves(t, "energy.ManagerConfig", reflect.ValueOf(&mcfg).Elem(), func(path string) {
+		open(path, 1, chip)
+	})
+
+	for _, w := range seqSuite() {
+		open(w.name, 1, func(d *Runner) {
+			if err := Cancelable(func() { d.WithContext(ctx).seqTruth(w, 1000) }); !errors.Is(err, context.Canceled) {
+				t.Fatalf("sequential run under a cancelled context: %v", err)
 			}
-			continue
-		}
-		keys[name] = keyFor(p)
+		})
 	}
-	seen := map[string]string{}
-	for name, key := range keys {
-		if prev, dup := seen[key]; dup {
-			t.Errorf("cache key for %q aliases %q", name, prev)
-		}
-		seen[key] = name
+	if n := r.Simulations(); n != 0 {
+		t.Fatalf("the audit simulated %d runs", n)
 	}
+}
+
+// perturbLeaves changes every leaf field under v in turn, calls visit with
+// the field's path while the change is in place, then restores it. A
+// pointer is a leaf it reports without changing; an unexported field (JSON
+// keying skips it) or an uncovered kind fails the test.
+func perturbLeaves(t *testing.T, path string, v reflect.Value, visit func(path string)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				t.Errorf("%s.%s is unexported: the content key cannot see it", path, f.Name)
+				continue
+			}
+			perturbLeaves(t, path+"."+f.Name, v.Field(i), visit)
+		}
+		return
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			perturbLeaves(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), visit)
+		}
+		return
+	case reflect.Pointer:
+		visit(path)
+		return
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float()*1.5 + 1)
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Fatalf("%s has kind %v the audit does not cover; extend it", path, v.Kind())
+	}
+	visit(path)
+	v.Set(old)
 }

@@ -23,14 +23,14 @@ func (r *Runner) SeedSensitivity(seeds []uint64) *report.Table {
 	dirs := []dir{{1000, 4000}, {4000, 1000}}
 	models := []core.Model{core.NewMCrit(core.Options{}), core.NewDEPBurst()}
 
-	// One forked runner per seed (same pool, independent cache): all seeds'
-	// truth matrices fan out together before rows are assembled.
+	// One derived Runner per seed: all seeds' truth matrices fan out
+	// together before rows are assembled.
 	runners := make([]*Runner, len(seeds))
 	var warm []func()
 	for i, seed := range seeds {
-		rn := r.fork()
+		rn := *r
 		rn.Base.Seed = seed
-		runners[i] = rn
+		runners[i] = &rn
 		warm = append(warm, func() { rn.Prewarm(r.Suite(), 1000, 4000) })
 	}
 	r.FanOut(warm...)

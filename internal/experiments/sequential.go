@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"depburst/internal/core"
 	"depburst/internal/cpu"
 	"depburst/internal/kernel"
@@ -108,28 +106,11 @@ func (r *Runner) SequentialBackground() *report.Table {
 }
 
 // seqTruth runs a sequential workload at f (memoised and deduplicated
-// alongside benchmark runs).
+// alongside benchmark runs). The workload's fields are unexported, so JSON
+// would encode it as {}: its identity enters the key field by field.
 func (r *Runner) seqTruth(w seqWorkload, f units.Freq) *sim.Result {
-	e := r.truthEntryFor(truthKey{bench: "seq/" + w.name, freq: f})
-	res, _, err := e.do(r.context(), func(ctx context.Context) (*sim.Result, any, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		cfg := r.Base
-		cfg.Freq = f
-		release, err := r.gate(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer release()
-		res, err := r.simulate(ctx, cfg, nil, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, nil, nil
-	})
-	if err != nil {
-		panic(canceled{err})
-	}
+	cfg := r.Base
+	cfg.Freq = f
+	res, _ := unwind(r.run(r.context(), "seq", cfg, w, nil, w.name, w.profile, w.instrs))
 	return res
 }

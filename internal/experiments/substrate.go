@@ -11,7 +11,7 @@ import (
 // the same benchmarks become substantially more GC- and memory-bound, and
 // DEP+BURST must keep tracking them.
 func (r *Runner) GCPolicyAblation() *report.Table {
-	semi := r.fork()
+	semi := *r
 	semi.Base.JVM.Policy = jvm.FullHeapSemispace
 
 	r.FanOut(
@@ -47,7 +47,7 @@ func (r *Runner) GCPolicyAblation() *report.Table {
 // sequential (GC copy) misses, shifting work between the scaling and
 // non-scaling components that the predictors must re-balance.
 func (r *Runner) PrefetchAblation() *report.Table {
-	pf := r.fork()
+	pf := *r
 	pf.Base.Hier.NextLinePrefetch = true
 
 	r.FanOut(

@@ -24,7 +24,7 @@ func TestTruthManifestsScannable(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := spec.Scaled(2)
-	b.Name = "pmd.b" // the truth memo keys by name; a scaled twin needs its own
+	b.Name = "pmd.b"
 	suite := []dacapo.Spec{spec, b}
 	freqs := []units.Freq{1000, 2000}
 	st, err := simcache.Open(t.TempDir(), 0)

@@ -304,9 +304,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Metrics.IncRejected()
 			writeError(w, http.StatusTooManyRequests, "prediction queue full")
 			return
-		case errors.Is(f.err, errPolicyLimit):
-			writeError(w, http.StatusBadRequest, "%v", f.err)
-			return
 		case errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded):
 			if ctx.Err() != nil {
 				// This caller's own deadline/disconnect.
@@ -325,10 +322,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // errSaturated marks a flight refused by the backpressure gate.
 var errSaturated = fmt.Errorf("server: saturated")
-
-// errPolicyLimit marks a request refused because it would create a
-// distinct sampling-policy Runner beyond the bound.
-var errPolicyLimit = fmt.Errorf("too many distinct sampling policies")
 
 // leadPredict executes the flight: acquire a worker slot (or refuse when the
 // queue is full), compute, publish, and clear the flight. The flight map
@@ -365,33 +358,6 @@ func (s *Server) leadPredict(ctx context.Context, key string, f *flight, req *Pr
 		//depburst:allow determinism -- tier latency telemetry observes the real clock
 		s.cfg.Metrics.ObserveTier(tier, time.Since(start).Nanoseconds())
 	}
-}
-
-// maxSamplingRunners caps how many distinct sampling policies one process
-// serves: each policy owns an isolated memo table, so an attacker cycling
-// policies must not grow memory without bound.
-const maxSamplingRunners = 8
-
-// runnerFor returns the Runner serving the request's sampling policy: the
-// shared full-detail Runner when the request did not opt in, else a
-// per-policy derivation (shared worker pool, disk cache and simulation
-// counter, isolated memo) that is reused across requests for the same
-// policy.
-func (s *Server) runnerFor(p *sampling.Policy) (*experiments.Runner, error) {
-	if p == nil {
-		return s.cfg.Runner, nil
-	}
-	s.samplers.Lock()
-	defer s.samplers.Unlock()
-	if r, ok := s.samplers.m[*p]; ok {
-		return r, nil
-	}
-	if len(s.samplers.m) >= maxSamplingRunners {
-		return nil, fmt.Errorf("%w (limit %d); reuse an earlier policy", errPolicyLimit, maxSamplingRunners)
-	}
-	r := s.cfg.Runner.WithSampling(*p)
-	s.samplers.m[*p] = r
-	return r, nil
 }
 
 // surrogateConfig builds the simulator configuration the surrogate indexes
@@ -474,9 +440,13 @@ func (s *Server) observeTruth(req *PredictRequest, spec dacapo.Spec, f units.Fre
 // and assembles the response. The response bytes are a pure function of the
 // request, so cold and warm paths are byte-identical.
 func (s *Server) computePredict(ctx context.Context, req *PredictRequest, spec dacapo.Spec) ([]byte, error) {
-	r, err := s.runnerFor(req.Sampling)
-	if err != nil {
-		return nil, err
+	r := s.cfg.Runner
+	if req.Sampling != nil {
+		// The policy is part of every memo key, so a copy of the shared
+		// Runner with the policy installed can never alias full detail.
+		sampled := *r
+		sampled.SetSampling(*req.Sampling)
+		r = &sampled
 	}
 	base, err := r.TruthCtx(ctx, spec, units.Freq(req.BaseMHz))
 	if err != nil {

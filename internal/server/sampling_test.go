@@ -110,23 +110,25 @@ func TestPredictSamplingValidation(t *testing.T) {
 	}
 }
 
-// TestPredictSamplingPolicyLimit bounds the per-policy Runner map: a client
-// cycling distinct policies is refused once the bound is reached, while
-// already-served policies keep working.
-func TestPredictSamplingPolicyLimit(t *testing.T) {
+// TestPredictManySamplingPolicies: the policy is part of every memo key,
+// so any number of distinct policies is served (nine here), and a
+// repeated policy is answered byte-identically.
+func TestPredictManySamplingPolicies(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	body := func(k int) string {
 		return fmt.Sprintf(`{"bench":"pmd.scale","targets_mhz":[2000],"sampling":{"enabled":true,"k":%d}}`, k)
 	}
-	for k := 1; k <= maxSamplingRunners; k++ {
-		if w := post(t, s, "/v1/predict", body(k)); w.Code != http.StatusOK {
+	var first string
+	for k := 1; k <= 9; k++ {
+		w := post(t, s, "/v1/predict", body(k))
+		if w.Code != http.StatusOK {
 			t.Fatalf("policy %d: status %d: %s", k, w.Code, w.Body)
 		}
+		if k == 1 {
+			first = w.Body.String()
+		}
 	}
-	if w := post(t, s, "/v1/predict", body(maxSamplingRunners+1)); w.Code != http.StatusBadRequest {
-		t.Fatalf("policy beyond the limit: status %d, want 400 (%s)", w.Code, w.Body)
-	}
-	if w := post(t, s, "/v1/predict", body(1)); w.Code != http.StatusOK {
-		t.Fatalf("known policy after the limit: status %d: %s", w.Code, w.Body)
+	if w := post(t, s, "/v1/predict", body(1)); w.Body.String() != first {
+		t.Errorf("repeated policy is not byte-identical:\n%s\nfirst:\n%s", w.Body, first)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"depburst/internal/experiments"
 	"depburst/internal/metrics"
 	"depburst/internal/report"
-	"depburst/internal/sampling"
 	"depburst/internal/surrogate"
 	"depburst/internal/units"
 )
@@ -106,14 +105,6 @@ type Server struct {
 		//depburst:guardedby Mutex
 		m map[string]*flight
 	}
-
-	// samplers holds the per-sampling-policy Runner derivations (see
-	// runnerFor); bounded by maxSamplingRunners.
-	samplers struct {
-		sync.Mutex
-		//depburst:guardedby Mutex
-		m map[sampling.Policy]*experiments.Runner
-	}
 }
 
 // New validates cfg, applies defaults, and assembles the routing table.
@@ -145,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 		sem: make(chan struct{}, cfg.Workers),
 	}
 	s.flights.m = make(map[string]*flight)
-	s.samplers.m = make(map[sampling.Policy]*experiments.Runner)
 
 	s.route("POST /v1/predict", s.handlePredict)
 	s.route("GET /v1/experiments/fig1", s.experimentHandler("fig1"))

@@ -562,6 +562,40 @@ func TestPredictEmbeddedSpec(t *testing.T) {
 	}
 }
 
+// TestPredictEmbeddedSpecDoesNotAlias: an embedded spec that reuses a stock
+// benchmark's name with different parameters is different work. Its
+// response must be the one a fresh server gives for that spec, never the
+// memoised stock run.
+func TestPredictEmbeddedSpecDoesNotAlias(t *testing.T) {
+	spec := testSuite(t)[0]
+	spec.Items /= 2
+	sb, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias := fmt.Sprintf(`{"spec":%s,"targets_mhz":[2000]}`, sb)
+	basePS := func(s *Server, body string) int64 {
+		t.Helper()
+		w := post(t, s, "/v1/predict", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		return decodeResponse(t, w.Body.Bytes()).BaseTimePS
+	}
+
+	s, _ := newTestServer(t, nil)
+	stock := basePS(s, `{"bench":"pmd.scale","targets_mhz":[2000]}`)
+	got := basePS(s, alias)
+	fresh, _ := newTestServer(t, nil)
+	want := basePS(fresh, alias)
+	if got != want {
+		t.Errorf("aliased spec served base_time_ps %d, a fresh server gives %d", got, want)
+	}
+	if got == stock {
+		t.Errorf("aliased spec served the stock run's base_time_ps %d", stock)
+	}
+}
+
 // TestRunLoad exercises the load generator against a warm server and checks
 // the report's accounting.
 func TestRunLoad(t *testing.T) {
