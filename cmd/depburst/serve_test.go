@@ -14,8 +14,9 @@ import (
 )
 
 // TestLoadModel covers serve's -model handling: a valid file loads, a file
-// that does not decode degrades to no surrogate tier with the reason on
-// stderr, and a file that cannot be read is an error.
+// that does not decode (garbage, or a model written under an older file
+// schema) degrades to no surrogate tier with the reason on stderr, and a
+// file that cannot be read is an error.
 func TestLoadModel(t *testing.T) {
 	r := experiments.NewRunnerWorkers(1)
 	dir := t.TempDir()
@@ -53,6 +54,18 @@ func TestLoadModel(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "serving without the surrogate tier: ") {
 		t.Errorf("corrupt model file logged %q", stderr.String())
+	}
+
+	// A model written under the previous file schema, whose group ids no
+	// longer match any query, is refused the same way.
+	legacy := filepath.Join("testdata", "model-schema1.dbsg")
+	stderr.Reset()
+	got, err = loadModel(r, legacy, false, &stderr)
+	if err != nil || got != nil {
+		t.Fatalf("old-schema model file: model %v, err %v; want no tier and no error", got, err)
+	}
+	if want := "serving without the surrogate tier: " + legacy + ": surrogate: model schema"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("old-schema model file logged %q, want it to contain %q", stderr.String(), want)
 	}
 
 	if _, err := loadModel(r, filepath.Join(dir, "absent.dbsg"), false, &stderr); err == nil {

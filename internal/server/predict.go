@@ -370,14 +370,14 @@ func (s *Server) surrogateConfig(spec dacapo.Spec, f units.Freq) sim.Config {
 	return cfg
 }
 
-// trySurrogate attempts to serve the request from the learned fast path.
-// It answers only when every frequency the response covers — base and all
-// targets — clears the confidence gate; one weak estimate falls the whole
-// request through to the Runner tiers, so a response never mixes learned
-// and simulated numbers. Requests that ask for ground truth (actual),
-// sampled simulation, or any model beyond the default dep+burst always
-// fall through: those contracts are about the simulator, not the model of
-// the simulator.
+// trySurrogate attempts to serve the request from the learned fast path,
+// with one model lookup for the base and every target. It answers only
+// when every frequency the response covers clears the confidence gate;
+// one weak estimate falls the whole request through to the Runner tiers,
+// so a response never mixes learned and simulated numbers. Requests that
+// ask for ground truth (actual), sampled simulation, or any model beyond
+// the default dep+burst always fall through: those contracts are about the
+// simulator, not the model of the simulator.
 func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bool) {
 	m := s.cfg.Surrogate
 	if m == nil || req.Actual || req.Sampling != nil {
@@ -386,10 +386,16 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 	if len(req.Models) != 1 || req.Models[0] != "dep+burst" {
 		return nil, false
 	}
-	base, ok := m.Predict(s.surrogateConfig(spec, units.Freq(req.BaseMHz)), spec)
-	if !ok || base.Confidence < s.cfg.SurrogateMinConf {
+	freqs := make([]units.Freq, 1, 1+len(req.TargetsMHz))
+	freqs[0] = units.Freq(req.BaseMHz)
+	for _, tgt := range req.TargetsMHz {
+		freqs = append(freqs, units.Freq(tgt))
+	}
+	ests, ok := m.PredictFreqs(s.surrogateConfig(spec, freqs[0]), spec, freqs)
+	if !ok {
 		return nil, false
 	}
+	base := ests[0]
 	resp := PredictResponse{
 		Bench:      spec.Name,
 		BaseMHz:    req.BaseMHz,
@@ -397,9 +403,8 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 		Tier:       TierSurrogate,
 		Surrogate:  &PredictSurrogate{Confidence: base.Confidence, ErrEstimate: base.ErrEstimate},
 	}
-	for _, tgt := range req.TargetsMHz {
-		est, ok := m.Predict(s.surrogateConfig(spec, units.Freq(tgt)), spec)
-		if !ok || est.Confidence < s.cfg.SurrogateMinConf {
+	for i, est := range ests {
+		if est.Confidence < s.cfg.SurrogateMinConf {
 			return nil, false
 		}
 		if est.Confidence < resp.Surrogate.Confidence {
@@ -408,11 +413,13 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 		if est.ErrEstimate > resp.Surrogate.ErrEstimate {
 			resp.Surrogate.ErrEstimate = est.ErrEstimate
 		}
-		resp.Predictions = append(resp.Predictions, Prediction{
-			Model:       req.Models[0],
-			TargetMHz:   tgt,
-			PredictedPS: int64(est.Time),
-		})
+		if i > 0 {
+			resp.Predictions = append(resp.Predictions, Prediction{
+				Model:       req.Models[0],
+				TargetMHz:   req.TargetsMHz[i-1],
+				PredictedPS: int64(est.Time),
+			})
+		}
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -460,22 +467,30 @@ func (s *Server) computePredict(ctx context.Context, req *PredictRequest, spec d
 		BaseMHz:    req.BaseMHz,
 		BaseTimePS: int64(base.Time),
 	}
+	// Each target's truth is fetched and observed once, then shared by
+	// every model's cell.
+	var truths []*sim.Result
+	if req.Actual {
+		truths = make([]*sim.Result, len(req.TargetsMHz))
+		for i, tgt := range req.TargetsMHz {
+			if truths[i], err = r.TruthCtx(ctx, spec, units.Freq(tgt)); err != nil {
+				return nil, err
+			}
+			s.observeTruth(req, spec, units.Freq(tgt), truths[i].Time)
+		}
+	}
 	var agg samplingAgg
 	agg.add(base)
 	for _, name := range req.Models {
 		m, _ := modelFor(name)
-		for _, tgt := range req.TargetsMHz {
+		for i, tgt := range req.TargetsMHz {
 			p := Prediction{
 				Model:       name,
 				TargetMHz:   tgt,
 				PredictedPS: int64(m.Predict(obs, units.Freq(tgt))),
 			}
-			if req.Actual {
-				truth, err := r.TruthCtx(ctx, spec, units.Freq(tgt))
-				if err != nil {
-					return nil, err
-				}
-				s.observeTruth(req, spec, units.Freq(tgt), truth.Time)
+			if truths != nil {
+				truth := truths[i]
 				p.ActualPS = int64(truth.Time)
 				re := report.RelError(float64(p.PredictedPS), float64(p.ActualPS))
 				p.RelError = &re

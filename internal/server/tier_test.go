@@ -18,7 +18,7 @@ import (
 // the given frequencies through a disk-cached runner, then scans and trains
 // a model from it. The corpus runner is returned so tests can compare
 // surrogate answers against the truth it simulated.
-func trainedSurrogate(t *testing.T, freqs ...units.Freq) (*surrogate.Model, *experiments.Runner) {
+func trainedSurrogate(t testing.TB, freqs ...units.Freq) (*surrogate.Model, *experiments.Runner) {
 	t.Helper()
 	st, err := simcache.Open(t.TempDir(), 0)
 	if err != nil {
@@ -326,5 +326,29 @@ func TestTierMetricsExposed(t *testing.T) {
 		if !strings.Contains(p.Body.String(), want) {
 			t.Errorf("prometheus exposition missing %q:\n%s", want, p.Body)
 		}
+	}
+}
+
+// BenchmarkTier0Handler measures the whole in-process cost of one tier-0
+// answer: an httptest POST of a two-target dep+burst request through the
+// handler (decode, group lookup, estimates, encode) against a surrogate
+// trained on the test suite.
+func BenchmarkTier0Handler(b *testing.B) {
+	model, _ := trainedSurrogate(b, 1000, 2000, 3000, 4000)
+	s, r := newTestServer(b, func(c *Config) { c.Surrogate = model })
+	const body = `{"bench":"pmd.scale","base_mhz":1000,"targets_mhz":[2000,3000]}`
+	if w := post(b, s, "/v1/predict", body); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"tier": "surrogate"`) {
+		b.Fatalf("not a tier-0 answer: %d %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := post(b, s, "/v1/predict", body); w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
+	}
+	b.StopTimer()
+	if sims := r.Simulations(); sims != 0 {
+		b.Fatalf("tier 0 ran %d simulations", sims)
 	}
 }

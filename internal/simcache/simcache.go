@@ -4,11 +4,13 @@
 // their results can be cached across processes: a warm rerun of the full
 // experiment suite is pure deserialization and byte-identical to a cold run.
 //
-// Keys are SHA-256 digests over a canonical encoding of the inputs plus a
-// schema-version string and whatever the caller adds to pin the value's
-// layout (a structural fingerprint of the result type and its codec
+// Keys (Key) are SHA-256 digests of a schema-version string and a
+// canonical binary encoding of the inputs, each part prefixed by its
+// type's structural fingerprint, plus whatever the caller adds to pin the
+// value's layout (a fingerprint of the result type and its codec
 // version), so any change to the simulator's observable output families
-// invalidates the cache implicitly. The store frames and checksums bytes;
+// invalidates the cache implicitly. The same function names the
+// surrogate's configuration groups. The store frames and checksums bytes;
 // each value owns its encoding (encoding.BinaryMarshaler and
 // BinaryUnmarshaler). Entries are self-checking (magic, version, payload
 // checksum) and written atomically (temp file + rename); corruption,
@@ -18,17 +20,13 @@
 package simcache
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -36,8 +34,9 @@ import (
 
 // SchemaVersion names the on-disk entry layout and the keying scheme. Bump
 // it whenever either changes incompatibly; old entries then miss and are
-// eventually evicted.
-const SchemaVersion = "depburst-simcache/1"
+// eventually evicted. Version 2 replaced the JSON key encoding with the
+// binary one in Key.
+const SchemaVersion = "depburst-simcache/2"
 
 // DefaultMaxBytes is the default LRU size cap (4 GiB).
 const DefaultMaxBytes = 4 << 30
@@ -101,74 +100,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Key derives the content address for a cached result from its inputs.
-// Each part is canonically JSON-encoded (struct fields in declaration
-// order, no maps should be passed) and hashed together with SchemaVersion.
-// Callers include every input the simulation depends on — the full machine
-// config, the benchmark spec(s) carrying the seed, and any governor
-// parameters — plus Fingerprint of the result type.
-func Key(parts ...any) (string, error) {
-	h := sha256.New()
-	h.Write([]byte(SchemaVersion))
-	enc := json.NewEncoder(h)
-	for _, p := range parts {
-		if err := enc.Encode(p); err != nil {
-			return "", fmt.Errorf("simcache: keying: %w", err)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Fingerprint returns a structural digest of v's type: type kinds, field
-// names and declared order, recursively. Include it in Key so that adding,
-// removing or retyping a field of the cached result changes every key —
-// version skew between binaries then reads as a miss instead of a decode
-// against the wrong layout.
-func Fingerprint(v any) string {
-	var b bytes.Buffer
-	seen := map[reflect.Type]bool{}
-	walkType(&b, reflect.TypeOf(v), seen)
-	sum := sha256.Sum256(b.Bytes())
-	return hex.EncodeToString(sum[:8])
-}
-
-func walkType(b *bytes.Buffer, t reflect.Type, seen map[reflect.Type]bool) {
-	if t == nil {
-		b.WriteString("nil")
-		return
-	}
-	if seen[t] {
-		fmt.Fprintf(b, "cycle(%s)", t.Name())
-		return
-	}
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		fmt.Fprintf(b, "%s{", t.Kind())
-		walkType(b, t.Elem(), seen)
-		b.WriteByte('}')
-	case reflect.Struct:
-		seen[t] = true
-		fmt.Fprintf(b, "struct %s{", t.Name())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			b.WriteString(f.Name)
-			b.WriteByte(':')
-			walkType(b, f.Type, seen)
-			b.WriteByte(';')
-		}
-		b.WriteByte('}')
-		delete(seen, t)
-	case reflect.Map:
-		b.WriteString("map[")
-		walkType(b, t.Key(), seen)
-		b.WriteByte(']')
-		walkType(b, t.Elem(), seen)
-	default:
-		// Scalar: name + kind pins both the named type and its width.
-		fmt.Fprintf(b, "%s/%s", t.Name(), t.Kind())
-	}
 }
 
 func (s *Store) path(key string) string {

@@ -106,48 +106,6 @@ func TestAbsentKeyMisses(t *testing.T) {
 	}
 }
 
-func TestKeyDiscriminates(t *testing.T) {
-	a, _ := Key("truth", testPayload())
-	b, _ := Key("truth", testPayload())
-	if a != b {
-		t.Error("identical inputs produced different keys")
-	}
-	mutated := testPayload()
-	mutated.Time++
-	c, _ := Key("truth", mutated)
-	if a == c {
-		t.Error("different inputs produced the same key")
-	}
-	d, _ := Key("chip", testPayload())
-	if a == d {
-		t.Error("different run kinds produced the same key")
-	}
-}
-
-func TestFingerprintTracksSchema(t *testing.T) {
-	type v1 struct{ A int64 }
-	type v2 struct{ A, B int64 }
-	type v1renamed struct{ B int64 }
-	fp1, fp2, fp3 := Fingerprint(v1{}), Fingerprint(v2{}), Fingerprint(v1renamed{})
-	if fp1 == fp2 {
-		t.Error("added field did not change the fingerprint")
-	}
-	if fp1 == fp3 {
-		t.Error("renamed field did not change the fingerprint")
-	}
-	if Fingerprint(v1{}) != fp1 {
-		t.Error("fingerprint not deterministic")
-	}
-	// Recursive types must terminate.
-	type node struct {
-		Next *node
-		V    int
-	}
-	if Fingerprint(node{}) == "" {
-		t.Error("recursive type produced empty fingerprint")
-	}
-}
-
 // corrupt flips one byte at off (negative: from the end) in the sole cache
 // entry under dir.
 func corruptEntry(t *testing.T, dir string, off int64, mutate func([]byte)) string {
@@ -376,12 +334,6 @@ func TestIgnoresForeignFiles(t *testing.T) {
 	s.Put(k2, testPayload())
 	if _, err := os.Stat(filepath.Join(s.Dir(), "README.txt")); err != nil {
 		t.Errorf("foreign file removed by eviction: %v", err)
-	}
-}
-
-func TestKeyRejectsUnencodable(t *testing.T) {
-	if _, err := Key(func() {}); err == nil {
-		t.Error("Key(func) succeeded")
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"sort"
 )
 
-// FileSchema names the model-file payload layout. Bump on incompatible
-// change; old files then fail to load instead of decoding partially.
-const FileSchema = "depburst-surrogate/1"
+// FileSchema names the model-file payload layout and its group-id scheme.
+// Bump on incompatible change — including any change to how GroupID hashes
+// a manifest, since a file's groups would otherwise load and never match a
+// query again; old files then fail to load instead of decoding partially.
+const FileSchema = "depburst-surrogate/2"
 
 // Model-file framing, simcache-style: magic, format version, payload
 // length, payload CRC, then a gob-encoded filePayload. Self-checking, so

@@ -29,13 +29,11 @@
 package surrogate
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"math"
 
 	"depburst/internal/dacapo"
 	"depburst/internal/sim"
+	"depburst/internal/simcache"
 	"depburst/internal/units"
 )
 
@@ -63,18 +61,17 @@ func NewTruthManifest(cfg sim.Config, spec dacapo.Spec) Manifest {
 
 // GroupID is the content address of the manifest's frequency-independent
 // inputs: two runs share a group exactly when they differ only in
-// frequency. Canonical JSON (struct fields in declaration order, no maps)
-// hashed like simcache keys.
+// frequency. It is simcache.Key over the manifest with the frequency (and
+// the observability registry) zeroed, or "" — no group — when an input
+// cannot be keyed (NaN or ±Inf).
 func (m Manifest) GroupID() string {
 	m.Config.Freq = 0
 	m.Config.Metrics = nil
-	b, err := json.Marshal(m)
+	id, err := simcache.Key(m)
 	if err != nil {
-		// The manifest types are plain data; Marshal cannot fail on them.
-		return "unencodable"
+		return ""
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:12])
+	return id
 }
 
 // features maps the frequency-independent inputs onto a fixed-length

@@ -155,24 +155,24 @@ func NewModel() *Model {
 func Train(samples []Sample) *Model {
 	m := NewModel()
 	for _, s := range samples {
-		m.add(s)
+		man := s.manifest()
+		m.add(man, man.GroupID(), s.Time)
 	}
 	m.finalize()
 	return m
 }
 
-// add inserts one sample without recomputing corpus-wide statistics.
+// add inserts one observation of the manifest's run, which belongs to group
+// id, without recomputing corpus-wide statistics.
 //
 //depburst:locked mu
-func (m *Model) add(s Sample) {
-	man := s.manifest()
-	if man.Config.Freq <= 0 || s.Time < 0 {
+func (m *Model) add(man Manifest, id string, t units.Time) {
+	if id == "" || man.Config.Freq <= 0 || t < 0 {
 		return
 	}
-	id := man.GroupID()
 	g := m.byID[id]
 	if g == nil {
-		g = &group{id: id, bench: s.Spec.Name, feat: man.features()}
+		g = &group{id: id, bench: man.Spec.Name, feat: man.features()}
 		m.byID[id] = g
 		i := sort.Search(len(m.groups), func(i int) bool { return m.groups[i].id >= id })
 		m.groups = append(m.groups, nil)
@@ -186,7 +186,7 @@ func (m *Model) add(s Sample) {
 	}
 	g.pts = append(g.pts, point{})
 	copy(g.pts[i+1:], g.pts[i:])
-	g.pts[i] = point{Freq: f, Time: s.Time}
+	g.pts[i] = point{Freq: f, Time: t}
 	g.refit()
 }
 
@@ -196,9 +196,11 @@ func (m *Model) add(s Sample) {
 // estimates) stay frozen until the next offline Train, which is what keeps
 // Observe cheap and the estimates honest.
 func (m *Model) Observe(cfg sim.Config, spec dacapo.Spec, t units.Time) {
+	man := NewTruthManifest(cfg, spec)
+	id := man.GroupID() // hashed before locking: readers wait only for the insert
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.add(Sample{Config: cfg, Spec: spec, Time: t})
+	m.add(man, id, t)
 }
 
 // finalize recomputes corpus-wide statistics: γ, feature standardization,
@@ -311,36 +313,60 @@ func orDefault(errs []float64, def, floor float64) float64 {
 	return e
 }
 
-// Predict estimates the completion time of (cfg, spec) at cfg.Freq. ok is
-// false only when the model holds no usable evidence at all (or the query
-// is malformed); otherwise the estimate carries the confidence the serving
-// tier gates on.
+// Predict estimates the completion time of (cfg, spec) at cfg.Freq: the
+// one-frequency case of PredictFreqs.
 func (m *Model) Predict(cfg sim.Config, spec dacapo.Spec) (Estimate, bool) {
-	man := NewTruthManifest(cfg, spec)
-	f := man.Config.Freq
-	if f <= 0 {
+	est, ok := m.PredictFreqs(cfg, spec, []units.Freq{cfg.Freq})
+	if !ok {
 		return Estimate{}, false
+	}
+	return est[0], true
+}
+
+// PredictFreqs estimates the completion time of (cfg, spec) at each of
+// freqs (cfg.Freq is ignored), resolving the query's group once. ok is
+// false only when some frequency has no usable evidence at all (or the
+// query is malformed); otherwise every estimate carries the confidence the
+// serving tier gates on.
+func (m *Model) PredictFreqs(cfg sim.Config, spec dacapo.Spec, freqs []units.Freq) ([]Estimate, bool) {
+	man := NewTruthManifest(cfg, spec)
+	id := man.GroupID()
+	if id == "" {
+		return nil, false
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 
-	if g := m.byID[man.GroupID()]; g != nil {
-		if t, interp, ok := g.predict(f, m.gamma); ok {
-			switch {
-			case g.fitted && interp:
-				return m.estimate(t, SourceInterp, m.interpErr), true
-			case g.fitted:
-				return m.estimate(t, SourceExtrap, m.extrapErr), true
-			default:
-				return m.estimate(t, SourceScale, (m.extrapErr+m.knnErr)/2), true
+	g := m.byID[id]
+	var feat []float64 // the k-NN query, built on first use
+	out := make([]Estimate, len(freqs))
+	for i, f := range freqs {
+		if f <= 0 {
+			return nil, false
+		}
+		if g != nil {
+			if t, interp, ok := g.predict(f, m.gamma); ok {
+				switch {
+				case g.fitted && interp:
+					out[i] = m.estimate(t, SourceInterp, m.interpErr)
+				case g.fitted:
+					out[i] = m.estimate(t, SourceExtrap, m.extrapErr)
+				default:
+					out[i] = m.estimate(t, SourceScale, (m.extrapErr+m.knnErr)/2)
+				}
+				continue
 			}
 		}
+		if feat == nil {
+			feat = man.features()
+		}
+		t, dist, ok := m.knnPredict(feat, man.perThreadWork(), f, "")
+		if !ok {
+			return nil, false
+		}
+		out[i] = m.estimate(t, SourceKNN, m.knnErr*(1+dist))
 	}
-	t, dist, ok := m.knnPredict(man.features(), man.perThreadWork(), f, "")
-	if !ok {
-		return Estimate{}, false
-	}
-	return m.estimate(t, SourceKNN, m.knnErr*(1+dist)), true
+	return out, true
 }
 
 // estimate clamps and packages one answer.

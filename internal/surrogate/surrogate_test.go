@@ -139,6 +139,44 @@ func TestPredictRejects(t *testing.T) {
 	}
 }
 
+// TestPredictFreqsMatchesPredict: the multi-frequency lookup answers each
+// frequency exactly as Predict does on its own — across the group-law,
+// γ-scaling and k-NN sources — and refuses the whole query when any
+// frequency cannot be answered.
+func TestPredictFreqsMatchesPredict(t *testing.T) {
+	suite := dacapo.Suite()
+	samples := synthSamples(suite[1:5], trainFreqs)
+	single := suite[0]
+	samples = append(samples, Sample{Config: synthConfig(single, 1000), Spec: single, Time: synthTime(single, 1000)})
+	m := Train(samples)
+	freqs := []units.Freq{500, 1000, 2500, 4000, 5000}
+	sources := map[string]bool{}
+	for _, spec := range []dacapo.Spec{suite[1], single, suite[6]} {
+		got, ok := m.PredictFreqs(synthConfig(spec, 1234), spec, freqs)
+		if !ok || len(got) != len(freqs) {
+			t.Fatalf("%s: ok=%v, %d estimates", spec.Name, ok, len(got))
+		}
+		for i, f := range freqs {
+			want, ok := m.Predict(synthConfig(spec, f), spec)
+			if !ok || got[i] != want {
+				t.Errorf("%s @%v: PredictFreqs %+v, Predict %+v (ok=%v)", spec.Name, f, got[i], want, ok)
+			}
+			sources[got[i].Source] = true
+		}
+	}
+	if len(sources) != 4 {
+		t.Errorf("sources covered: %v, want all four", sources)
+	}
+	if _, ok := m.PredictFreqs(synthConfig(single, 1000), single, []units.Freq{1000, 0}); ok {
+		t.Error("non-positive frequency answered")
+	}
+	bad := suite[1]
+	bad.IPC = math.NaN()
+	if _, ok := m.PredictFreqs(synthConfig(bad, 1000), bad, freqs); ok {
+		t.Error("unkeyable query answered")
+	}
+}
+
 func TestPredictNonNegativeMonotone(t *testing.T) {
 	suite := dacapo.Suite()
 	m := Train(synthSamples(suite[:5], trainFreqs))
@@ -286,6 +324,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if _, err := Decode(raw); err == nil {
 			t.Errorf("%s: malformed model accepted", name)
 		}
+	}
+	// A file from before group ids were simcache keys would load groups no
+	// query can reach; it must fail on its schema instead.
+	_, err = Decode(frameFile(t, filePayload{Schema: "depburst-surrogate/1", Gamma: 0.5}))
+	if want := `surrogate: model schema "depburst-surrogate/1", want "depburst-surrogate/2"`; err == nil || err.Error() != want {
+		t.Errorf("old-schema model: err %v, want %s", err, want)
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "absent.dbsg")); err == nil {
 		t.Error("absent model file accepted")
