@@ -95,7 +95,8 @@ func suiteTables(r *experiments.Runner, step units.Freq) []*report.Table {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: depburst [-json] [-j N] [-cache DIR] [-sample] <command> [flags]
+	fmt.Fprintf(os.Stderr, `usage: depburst [-json] [-j N] [-cache DIR] [-sample] [-cpuprofile FILE]
+                [-memprofile FILE] <command> [flags]
 
 global flags:
   -json             emit tables as JSON instead of aligned text
@@ -111,6 +112,9 @@ global flags:
                     Several times faster cold, with a machine-reported error
                     bound per run; results are approximate but deterministic
                     and cached separately from full-detail ones
+  -cpuprofile FILE  write a CPU profile of the command to FILE
+  -memprofile FILE  write a heap profile to FILE when the command ends
+                    (both runtime/pprof; read them with 'go tool pprof')
 
 commands:
   table1            benchmark characteristics at 1 GHz (Table I)
@@ -217,6 +221,9 @@ func main() {
 	argv := os.Args[1:]
 	workers := 0 // 0 = GOMAXPROCS default
 	cacheDir := os.Getenv("DEPBURST_CACHE")
+	var cpuProfile, memProfile string
+	// Global flags with a value, given as "-flag V" or "-flag=V".
+	values := map[string]*string{"-cache": &cacheDir, "-cpuprofile": &cpuProfile, "-memprofile": &memProfile}
 	sampled := false
 global:
 	for len(argv) > 0 {
@@ -238,17 +245,20 @@ global:
 			_, v, _ := strings.Cut(arg, "=")
 			workers = parseWorkers(v)
 			argv = argv[1:]
-		case arg == "-cache":
-			if len(argv) < 2 {
-				usage()
-			}
-			cacheDir = argv[1]
-			argv = argv[2:]
-		case strings.HasPrefix(arg, "-cache="):
-			_, cacheDir, _ = strings.Cut(arg, "=")
-			argv = argv[1:]
 		default:
-			break global
+			name, v, hasValue := strings.Cut(arg, "=")
+			dst, ok := values[name]
+			if !ok {
+				break global
+			}
+			if !hasValue {
+				if len(argv) < 2 {
+					usage()
+				}
+				v, argv = argv[1], argv[1:]
+			}
+			*dst = v
+			argv = argv[1:]
 		}
 	}
 	if len(argv) < 1 {
@@ -268,7 +278,14 @@ global:
 	if sampled {
 		r.SetSampling(sampling.DefaultPolicy())
 	}
+	if err := profiled(cpuProfile, memProfile, func() { dispatch(r, cmd, args, workers) }); err != nil {
+		fmt.Fprintf(os.Stderr, "depburst: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// dispatch runs one command.
+func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	switch cmd {
 	case "table1":
 		emit(r.Table1())
@@ -656,7 +673,7 @@ func cmdPredict(r *experiments.Runner, args []string) {
 	fs.Parse(args)
 	spec := resolveSpec(*suite, *bench)
 	obs := experiments.Observe(r.Truth(spec, units.Freq(*base)))
-	actual := r.Truth(spec, units.Freq(*target)).Time
+	actual := r.TruthSummary(spec, units.Freq(*target)).Time
 
 	t := &report.Table{
 		Title:  fmt.Sprintf("%s: predict %d MHz from %d MHz (actual %v)", spec.Name, *target, *base, actual),

@@ -47,23 +47,22 @@ func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Option
 			continue
 		}
 		var iPrime units.Time
-		var crit kernel.ThreadSlice
-		first := true
-		for _, sl := range ep.Slices {
-			e := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			if first || e > iPrime {
+		var crit *kernel.ThreadSlice
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
+			e := predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
+			if crit == nil || e > iPrime {
 				iPrime = e
 				crit = sl
-				first = false
 			}
 		}
 		if iPrime < 0 {
 			iPrime = 0
 		}
-		ns := nonScaling(crit.Delta, crit.Delta.Active, o)
+		ns := nonScaling(&crit.Delta, crit.Delta.Active, o)
 		m := ns
 		if o.Burst {
-			m = nonScaling(crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
+			m = nonScaling(&crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
 			burst += ns - m
 		}
 		memory += m
@@ -80,7 +79,7 @@ func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Option
 // the returned Pred fields equals PredictEpochs on the same inputs.
 func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) []EpochBreakdown {
 	out := make([]EpochBreakdown, 0, len(epochs))
-	delta := make(map[kernel.ThreadID]units.Time)
+	slack, est := slackTables(epochs)
 	for i := range epochs {
 		ep := &epochs[i]
 		b := EpochBreakdown{Start: ep.Start, Dur: ep.Duration()}
@@ -98,18 +97,17 @@ func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) 
 		// Critical-thread selection mirrors predictPerEpoch /
 		// predictAcrossEpochs: the largest (slack-adjusted) estimate wins.
 		var iPrime units.Time
-		var crit kernel.ThreadSlice
-		first := true
-		for _, sl := range ep.Slices {
-			a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			e := a
+		var crit *kernel.ThreadSlice
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
+			est[j] = predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
+			e := est[j]
 			if !o.PerEpochCTP {
-				e -= delta[sl.TID]
+				e -= slack[sl.TID]
 			}
-			if first || e > iPrime {
+			if crit == nil || e > iPrime {
 				iPrime = e
 				crit = sl
-				first = false
 			}
 		}
 		if iPrime < 0 {
@@ -119,10 +117,10 @@ func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) 
 		// Attribute the critical thread's two-component split, then let
 		// Idle carry whatever slack adjustment moved Pred off the raw
 		// estimate so the components always sum to Pred.
-		ns := nonScaling(crit.Delta, crit.Delta.Active, o)
+		ns := nonScaling(&crit.Delta, crit.Delta.Active, o)
 		mem := ns
 		if o.Burst {
-			mem = nonScaling(crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
+			mem = nonScaling(&crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
 			b.Burst = ns - mem
 		}
 		b.Memory = mem
@@ -132,13 +130,10 @@ func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) 
 		out = append(out, b)
 
 		if !o.PerEpochCTP {
-			for _, sl := range ep.Slices {
-				a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-				delta[sl.TID] += iPrime - a
+			for j := range ep.Slices {
+				slack[ep.Slices[j].TID] += iPrime - est[j]
 			}
-			if ep.StallTID != kernel.NoThread {
-				delta[ep.StallTID] = 0
-			}
+			resetSlack(slack, ep.StallTID)
 		}
 	}
 	return out

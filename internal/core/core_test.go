@@ -46,12 +46,12 @@ func TestNonScalingEngineAndClamp(t *testing.T) {
 		{Options{Engine: LeadingLoads, Burst: true}, 110},
 	}
 	for _, cs := range cases {
-		if got := nonScaling(c, 1000, cs.o); got != cs.want {
+		if got := nonScaling(&c, 1000, cs.o); got != cs.want {
 			t.Errorf("%+v: ns = %v, want %v", cs.o, got, cs.want)
 		}
 	}
 	// Clamp to active.
-	if got := nonScaling(c, 90, Options{Engine: CRIT, Burst: true}); got != 90 {
+	if got := nonScaling(&c, 90, Options{Engine: CRIT, Burst: true}); got != 90 {
 		t.Errorf("clamp: %v", got)
 	}
 }
@@ -59,11 +59,11 @@ func TestNonScalingEngineAndClamp(t *testing.T) {
 func TestPredictThreadLaw(t *testing.T) {
 	c := cpu.Counters{CritNS: 400}
 	// 1000ps active of which 400 non-scaling; 1->2GHz: 600/2 + 400 = 700.
-	if got := predictThread(1000, c, Options{}, 1000, 2000); got != 700 {
+	if got := predictThread(1000, &c, Options{}, 1000, 2000); got != 700 {
 		t.Errorf("predictThread = %v, want 700", got)
 	}
 	// 2->1GHz: 600*2 + 400 = 1600.
-	if got := predictThread(1000, c, Options{}, 2000, 1000); got != 1600 {
+	if got := predictThread(1000, &c, Options{}, 2000, 1000); got != 1600 {
 		t.Errorf("predictThread down = %v, want 1600", got)
 	}
 }

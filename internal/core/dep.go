@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"depburst/internal/cpu"
 	"depburst/internal/kernel"
 	"depburst/internal/units"
@@ -53,7 +55,7 @@ func PredictEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) un
 // intervals without synchronization activity: all threads ran
 // independently, so the interval scales like its per-core average.
 func PredictAggregate(c cpu.Counters, base, target units.Freq, o Options) units.Time {
-	return predictThread(c.Active, c, o, base, target)
+	return predictThread(c.Active, &c, o, base, target)
 }
 
 // predictPerEpoch estimates each epoch independently as the duration of its
@@ -63,8 +65,9 @@ func predictPerEpoch(epochs []kernel.Epoch, base, target units.Freq, o Options) 
 	for i := range epochs {
 		ep := &epochs[i]
 		var worst units.Time
-		for _, sl := range ep.Slices {
-			p := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
+			p := predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
 			if p > worst {
 				worst = p
 			}
@@ -85,7 +88,7 @@ func predictPerEpoch(epochs []kernel.Epoch, base, target units.Freq, o Options) 
 // The thread whose sleep closed the epoch has no carried slack: its delta
 // resets.
 func predictAcrossEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) units.Time {
-	delta := make(map[kernel.ThreadID]units.Time)
+	slack, est := slackTables(epochs)
 	var total units.Time
 	for i := range epochs {
 		ep := &epochs[i]
@@ -93,32 +96,52 @@ func predictAcrossEpochs(epochs []kernel.Epoch, base, target units.Freq, o Optio
 			total += ep.Duration()
 			continue
 		}
-		// Line 1-4: per-thread estimate minus carried slack.
+		// Lines 1-5: per-thread estimate minus carried slack; the epoch
+		// lasts as long as the largest, and never less than zero.
 		var iPrime units.Time
-		first := true
-		for _, sl := range ep.Slices {
-			a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			e := a - delta[sl.TID]
-			if first || e > iPrime {
-				iPrime = e
-				first = false
-			}
-		}
-		// Line 5: epoch duration is the largest adjusted estimate.
-		if iPrime < 0 {
-			iPrime = 0
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
+			est[j] = predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
+			iPrime = max(iPrime, est[j]-slack[sl.TID])
 		}
 		total += iPrime
 		// Lines 6-8: update slack for every active thread.
-		for _, sl := range ep.Slices {
-			a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			delta[sl.TID] += iPrime - a
+		for j := range ep.Slices {
+			slack[ep.Slices[j].TID] += iPrime - est[j]
 		}
 		// Line 9: the stalled thread's slack resets — it slept, so its
 		// next epoch starts fresh.
-		if ep.StallTID != kernel.NoThread {
-			delta[ep.StallTID] = 0
-		}
+		resetSlack(slack, ep.StallTID)
 	}
 	return total
+}
+
+// slackTables returns Algorithm 1's per-thread slack, indexed by thread ID
+// and zeroed, and scratch for one epoch's per-slice estimates, both sized
+// by one pass over the stream. Thread IDs are dense from 0 (the kernel
+// numbers threads in spawn order); a negative one in a slice is a bug in
+// the stream's producer and panics.
+func slackTables(epochs []kernel.Epoch) (slack, est []units.Time) {
+	threads, width := 0, 0
+	for i := range epochs {
+		ep := &epochs[i]
+		width = max(width, len(ep.Slices))
+		for j := range ep.Slices {
+			tid := ep.Slices[j].TID
+			if tid < 0 {
+				panic(fmt.Sprintf("core: epoch %d has a slice of thread %d", i, tid))
+			}
+			threads = max(threads, int(tid)+1)
+		}
+	}
+	buf := make([]units.Time, threads+width)
+	return buf[:threads:threads], buf[threads:]
+}
+
+// resetSlack clears the slack of the thread whose sleep closed an epoch.
+// NoThread, and a thread no slice names, carry none.
+func resetSlack(slack []units.Time, stall kernel.ThreadID) {
+	if stall >= 0 && int(stall) < len(slack) {
+		slack[stall] = 0
+	}
 }

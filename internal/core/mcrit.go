@@ -27,12 +27,13 @@ func (m *MCrit) Name() string { return "M+CRIT" + m.Opts.suffix() }
 // Predict implements Model.
 func (m *MCrit) Predict(obs *Observation, target units.Freq) units.Time {
 	var worst units.Time
-	for _, t := range obs.Threads {
+	for i := range obs.Threads {
+		t := &obs.Threads[i]
 		wall := t.End - t.Start
 		if wall <= 0 {
 			continue
 		}
-		p := predictThread(wall, t.C, m.Opts, obs.Base, target)
+		p := predictThread(wall, &t.C, m.Opts, obs.Base, target)
 		if p > worst {
 			worst = p
 		}
@@ -90,14 +91,15 @@ func (c *COOP) Predict(obs *Observation, target units.Freq) units.Time {
 		if pi < 0 {
 			continue
 		}
-		for _, sl := range ep.Slices {
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
 			agg := phases[pi].perThread[int(sl.TID)]
 			if agg == nil {
 				agg = &threadAgg{}
 				phases[pi].perThread[int(sl.TID)] = agg
 			}
 			agg.active += sl.Delta.Active
-			agg.ns += nonScaling(sl.Delta, sl.Delta.Active, c.Opts)
+			agg.ns += nonScaling(&sl.Delta, sl.Delta.Active, c.Opts)
 		}
 	}
 

@@ -11,23 +11,19 @@ import (
 // Leading Loads, CRIT — §II-A) inside the full DEP+BURST epoch model: the
 // paper's motivation for building on CRIT.
 func (r *Runner) EngineAblation() *report.Table {
-	r.Prewarm(r.Suite(), 1000, 4000)
+	lo, hi := r.observePair(1000, 4000)
 	engines := []core.Engine{core.StallTime, core.LeadingLoads, core.CRIT}
 	t := &report.Table{
 		Title:  "Ablation: per-thread engine inside DEP+BURST (avg abs error)",
 		Header: []string{"direction", "STALL", "LL", "CRIT"},
 	}
-	type dir struct {
-		name         string
-		base, target units.Freq
-	}
-	for _, d := range []dir{{"1->4GHz", 1000, 4000}, {"4->1GHz", 4000, 1000}} {
+	for _, d := range directions(lo, hi) {
 		row := []string{d.name}
 		for _, eng := range engines {
 			m := core.NewDEP(core.Options{Engine: eng, Burst: true})
 			var errs []float64
-			for _, spec := range r.Suite() {
-				errs = append(errs, r.PredictionError(spec, m, d.base, d.target))
+			for i := range r.Suite() {
+				errs = append(errs, predictionError(m, d.from[i], d.target, d.to[i].Total))
 			}
 			row = append(row, report.PctAbs(report.MeanAbs(errs)))
 		}
@@ -45,20 +41,20 @@ func (r *Runner) HoldOffAblation(bench string) *report.Table {
 		panic(err)
 	}
 	holds := []int{1, 2, 4, 8}
-	warm := []func(){func() { r.Truth(spec, FMax) }}
+	warm := []func(){func() { r.TruthSummary(spec, FMax) }}
 	for _, hold := range holds {
 		hold := hold
-		warm = append(warm, func() { r.managedRun(spec, 0.10, hold, r.Base.Quantum) })
+		warm = append(warm, func() { r.summary(r.managedJob(spec, 0.10, hold, r.Base.Quantum)) })
 	}
 	r.FanOut(warm...)
 
-	ref := r.Truth(spec, FMax)
+	ref := r.TruthSummary(spec, FMax)
 	t := &report.Table{
 		Title:  "Ablation: energy-manager Hold-Off (" + bench + ", 10% threshold)",
 		Header: []string{"hold-off", "slowdown", "savings", "transitions"},
 	}
 	for _, hold := range holds {
-		res, _ := r.managedRun(spec, 0.10, hold, r.Base.Quantum)
+		res := r.summary(r.managedJob(spec, 0.10, hold, r.Base.Quantum))
 		slow := report.RelError(float64(res.Time), float64(ref.Time))
 		save := 1 - float64(res.Energy)/float64(ref.Energy)
 		t.AddRow(itoa(hold), report.Pct(slow), report.Pct(save), itoa(res.Transitions))
@@ -73,20 +69,20 @@ func (r *Runner) QuantumAblation(bench string) *report.Table {
 		panic(err)
 	}
 	quanta := []units.Time{20 * units.Microsecond, 50 * units.Microsecond, 100 * units.Microsecond, 200 * units.Microsecond}
-	warm := []func(){func() { r.Truth(spec, FMax) }}
+	warm := []func(){func() { r.TruthSummary(spec, FMax) }}
 	for _, q := range quanta {
 		q := q
-		warm = append(warm, func() { r.managedRun(spec, 0.10, 1, q) })
+		warm = append(warm, func() { r.summary(r.managedJob(spec, 0.10, 1, q)) })
 	}
 	r.FanOut(warm...)
 
-	ref := r.Truth(spec, FMax)
+	ref := r.TruthSummary(spec, FMax)
 	t := &report.Table{
 		Title:  "Ablation: DVFS quantum (" + bench + ", 10% threshold)",
 		Header: []string{"quantum", "slowdown", "savings"},
 	}
 	for _, q := range quanta {
-		res, _ := r.managedRun(spec, 0.10, 1, q)
+		res := r.summary(r.managedJob(spec, 0.10, 1, q))
 		slow := report.RelError(float64(res.Time), float64(ref.Time))
 		save := 1 - float64(res.Energy)/float64(ref.Energy)
 		t.AddRow(q.String(), report.Pct(slow), report.Pct(save))
@@ -105,9 +101,10 @@ func (r *Runner) DRAMVariabilityAblation() *report.Table {
 	fixed.Base.Hier.DRAM.TRP = 0
 	fixed.Base.Hier.DRAM.TCAS = 27500 // one uniform 27.5 ns access
 
+	var varObs, fixedObs []*core.Observation
 	r.FanOut(
-		func() { r.Prewarm(r.Suite(), 4000, 1000) },
-		func() { fixed.Prewarm(r.Suite(), 4000, 1000) })
+		func() { varObs = r.basesAndTargets(r.Suite(), 4000, 1000) },
+		func() { fixedObs = fixed.basesAndTargets(r.Suite(), 4000, 1000) })
 
 	t := &report.Table{
 		Title:  "Ablation: variable vs fixed DRAM latency, DEP+BURST engines (avg abs error, 4->1 GHz)",
@@ -116,13 +113,15 @@ func (r *Runner) DRAMVariabilityAblation() *report.Table {
 	for _, row := range []struct {
 		name string
 		rn   *Runner
-	}{{"variable (default)", r}, {"fixed latency", &fixed}} {
+		obs  []*core.Observation
+	}{{"variable (default)", r, varObs}, {"fixed latency", &fixed, fixedObs}} {
 		var errCrit, errLL []float64
-		for _, spec := range r.Suite() {
+		for i, spec := range r.Suite() {
 			crit := core.NewDEP(core.Options{Engine: core.CRIT, Burst: true})
 			ll := core.NewDEP(core.Options{Engine: core.LeadingLoads, Burst: true})
-			errCrit = append(errCrit, row.rn.PredictionError(spec, crit, 4000, 1000))
-			errLL = append(errLL, row.rn.PredictionError(spec, ll, 4000, 1000))
+			actual := row.rn.TruthSummary(spec, 1000).Time
+			errCrit = append(errCrit, predictionError(crit, row.obs[i], 1000, actual))
+			errLL = append(errLL, predictionError(ll, row.obs[i], 1000, actual))
 		}
 		c, l := report.MeanAbs(errCrit), report.MeanAbs(errLL)
 		t.AddRow(row.name, report.PctAbs(c), report.PctAbs(l), report.Pct(l-c))

@@ -15,19 +15,20 @@ func (r *Runner) coRunTruth(a, b dacapo.Spec, f units.Freq) *sim.Result {
 	cfg := r.Base
 	cfg.Freq = f
 	a.Configure(&cfg) // tenant 0 uses the machine's default JVM
-	res, _ := unwind(r.run(r.context(), "corun-truth", cfg, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}}, nil, a, b))
+	res, _ := unwind(r.run(r.context(), job{kind: "corun-truth", cfg: cfg,
+		w: &dacapo.CoRun{Specs: []dacapo.Spec{a, b}}, extra: []any{a, b}}))
 	return res
 }
 
-// coRunManaged runs the consolidated pair under the chip-wide energy
-// manager (memoised).
-func (r *Runner) coRunManaged(a, b dacapo.Spec, threshold float64) *sim.Result {
+// coRunManaged returns the head of the consolidated pair's run under the
+// chip-wide energy manager (memoised).
+func (r *Runner) coRunManaged(a, b dacapo.Spec, threshold float64) sim.Summary {
 	cfg := r.Base
 	cfg.Freq = FMax
 	a.Configure(&cfg)
 	mcfg := energy.DefaultManagerConfig(threshold)
-	res, _ := unwind(r.run(r.context(), "corun-chip", cfg, &dacapo.CoRun{Specs: []dacapo.Spec{a, b}}, chipGovernor(mcfg), a, b, mcfg))
-	return res
+	return r.summary(job{kind: "corun-chip", cfg: cfg, w: &dacapo.CoRun{Specs: []dacapo.Spec{a, b}},
+		govern: chipGovernor(mcfg), extra: []any{a, b, mcfg}})
 }
 
 // tenantEnd returns when the given tenant's application threads finished
@@ -73,8 +74,8 @@ func (r *Runner) Consolidation(pairs [][2]string) *report.Table {
 		}
 		specs[i] = [2]dacapo.Spec{a, b}
 		warm = append(warm,
-			func() { r.Truth(a, FMax) },
-			func() { r.Truth(b, FMax) },
+			func() { r.TruthSummary(a, FMax) },
+			func() { r.TruthSummary(b, FMax) },
 			func() { r.coRunTruth(a, b, FMax) },
 			func() { r.coRunManaged(a, b, 0.10) })
 	}
@@ -87,8 +88,8 @@ func (r *Runner) Consolidation(pairs [][2]string) *report.Table {
 	}
 	for i, p := range pairs {
 		a, b := specs[i][0], specs[i][1]
-		soloA := r.Truth(a, FMax)
-		soloB := r.Truth(b, FMax)
+		soloA := r.TruthSummary(a, FMax)
+		soloB := r.TruthSummary(b, FMax)
 		co := r.coRunTruth(a, b, FMax)
 
 		interA := report.RelError(float64(tenantEnd(co, a.Name)), float64(soloA.Time))

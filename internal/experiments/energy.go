@@ -19,18 +19,29 @@ func (r *Runner) ManagedRun(spec dacapo.Spec, threshold float64) (*sim.Result, *
 	return r.managedRun(spec, threshold, 1, r.Base.Quantum)
 }
 
+// ManagedSummary returns the head of ManagedRun(spec, threshold), the way
+// TruthSummary returns Truth's.
+func (r *Runner) ManagedSummary(spec dacapo.Spec, threshold float64) sim.Summary {
+	return r.summary(r.managedJob(spec, threshold, 1, r.Base.Quantum))
+}
+
 // managedRun is ManagedRun with the manager's hold-off and the DVFS
 // quantum exposed for the ablations.
 func (r *Runner) managedRun(spec dacapo.Spec, threshold float64, holdOff int, quantum units.Time) (*sim.Result, *energy.Manager) {
+	res, mgr := unwind(r.run(r.context(), r.managedJob(spec, threshold, holdOff, quantum)))
+	mg, _ := mgr.(*energy.Manager)
+	return res, mg
+}
+
+// managedJob is spec under the chip-wide energy manager.
+func (r *Runner) managedJob(spec dacapo.Spec, threshold float64, holdOff int, quantum units.Time) job {
 	cfg := r.Base
 	cfg.Freq = FMax
 	cfg.Quantum = quantum
 	spec.Configure(&cfg)
 	mcfg := energy.DefaultManagerConfig(threshold)
 	mcfg.HoldOff = holdOff
-	res, mgr := unwind(r.run(r.context(), "chip", cfg, dacapo.New(spec), chipGovernor(mcfg), spec, mcfg))
-	mg, _ := mgr.(*energy.Manager)
-	return res, mg
+	return job{kind: "chip", cfg: cfg, w: dacapo.New(spec), govern: chipGovernor(mcfg), extra: []any{spec, mcfg}}
 }
 
 // chipGovernor installs a chip-wide DEP+BURST manager on a machine.
@@ -50,10 +61,10 @@ func (r *Runner) Fig6() *report.Table {
 	var warm []func()
 	for _, spec := range r.Suite() {
 		spec := spec
-		warm = append(warm, func() { r.Truth(spec, FMax) })
+		warm = append(warm, func() { r.TruthSummary(spec, FMax) })
 		for _, thr := range thresholds {
 			thr := thr
-			warm = append(warm, func() { r.ManagedRun(spec, thr) })
+			warm = append(warm, func() { r.ManagedSummary(spec, thr) })
 		}
 	}
 	r.FanOut(warm...)
@@ -65,10 +76,10 @@ func (r *Runner) Fig6() *report.Table {
 	}
 	var mSave5, mSave10 []float64
 	for _, spec := range r.Suite() {
-		ref := r.Truth(spec, FMax)
+		ref := r.TruthSummary(spec, FMax)
 		row := []string{spec.Name, spec.Class()}
 		for _, thr := range thresholds {
-			res, _ := r.ManagedRun(spec, thr)
+			res := r.ManagedSummary(spec, thr)
 			slow := report.RelError(float64(res.Time), float64(ref.Time))
 			save := 1 - float64(res.Energy)/float64(ref.Energy)
 			row = append(row, report.Pct(slow), report.Pct(save))
@@ -89,20 +100,17 @@ func (r *Runner) Fig6() *report.Table {
 	return t
 }
 
-// PerCoreRun executes spec under the per-core DVFS manager (memoised).
-// The manager is nil when the result came from the persistent disk cache.
-func (r *Runner) PerCoreRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.PerCoreManager) {
+// perCoreJob is spec under the per-core DVFS manager.
+func (r *Runner) perCoreJob(spec dacapo.Spec, threshold float64) job {
 	cfg := r.Base
 	cfg.Freq = FMax
 	spec.Configure(&cfg)
 	mcfg := energy.DefaultManagerConfig(threshold)
-	res, mgr := unwind(r.run(r.context(), "percore", cfg, dacapo.New(spec), func(m *sim.Machine) any {
+	return job{kind: "percore", cfg: cfg, w: dacapo.New(spec), govern: func(m *sim.Machine) any {
 		mg := energy.NewPerCoreManager(mcfg)
 		m.SetCoreGovernor(mg.Governor())
 		return mg
-	}, spec, mcfg))
-	mg, _ := mgr.(*energy.PerCoreManager)
-	return res, mg
+	}, extra: []any{spec, mcfg}}
 }
 
 // PerCoreDVFS is the future-work extension experiment (§VII): chip-wide
@@ -113,9 +121,9 @@ func (r *Runner) PerCoreDVFS(threshold float64) *report.Table {
 	for _, spec := range r.Suite() {
 		spec := spec
 		warm = append(warm,
-			func() { r.Truth(spec, FMax) },
-			func() { r.ManagedRun(spec, threshold) },
-			func() { r.PerCoreRun(spec, threshold) })
+			func() { r.TruthSummary(spec, FMax) },
+			func() { r.ManagedSummary(spec, threshold) },
+			func() { r.summary(r.perCoreJob(spec, threshold)) })
 	}
 	r.FanOut(warm...)
 
@@ -126,9 +134,9 @@ func (r *Runner) PerCoreDVFS(threshold float64) *report.Table {
 	}
 	var chipM, coreM []float64
 	for _, spec := range r.Suite() {
-		ref := r.Truth(spec, FMax)
-		chip, _ := r.ManagedRun(spec, threshold)
-		pc, _ := r.PerCoreRun(spec, threshold)
+		ref := r.TruthSummary(spec, FMax)
+		chip := r.ManagedSummary(spec, threshold)
+		pc := r.summary(r.perCoreJob(spec, threshold))
 		cSlow := report.RelError(float64(chip.Time), float64(ref.Time))
 		cSave := 1 - float64(chip.Energy)/float64(ref.Energy)
 		pSlow := report.RelError(float64(pc.Time), float64(ref.Time))
@@ -165,7 +173,7 @@ func SweepFreqs(step units.Freq) []units.Freq {
 func (r *Runner) staticSweep(spec dacapo.Spec, freqs []units.Freq) []energy.StaticResult {
 	out := make([]energy.StaticResult, 0, len(freqs))
 	for _, f := range freqs {
-		res := r.Truth(spec, f)
+		res := r.TruthSummary(spec, f)
 		out = append(out, energy.StaticResult{Freq: f, Time: res.Time, Energy: res.Energy})
 	}
 	return out
@@ -185,11 +193,11 @@ func (r *Runner) Fig7(step units.Freq) *report.Table {
 	for _, spec := range r.Suite() {
 		spec := spec
 		warm = append(warm,
-			func() { r.Truth(spec, FMax) },
-			func() { r.ManagedRun(spec, threshold) })
+			func() { r.TruthSummary(spec, FMax) },
+			func() { r.ManagedSummary(spec, threshold) })
 		for _, f := range freqs {
 			f := f
-			warm = append(warm, func() { r.Truth(spec, f) })
+			warm = append(warm, func() { r.TruthSummary(spec, f) })
 		}
 	}
 	r.FanOut(warm...)
@@ -201,9 +209,9 @@ func (r *Runner) Fig7(step units.Freq) *report.Table {
 	}
 	var dynM, statM []float64
 	for _, spec := range r.Suite() {
-		ref := r.Truth(spec, FMax)
+		ref := r.TruthSummary(spec, FMax)
 
-		res, _ := r.ManagedRun(spec, threshold)
+		res := r.ManagedSummary(spec, threshold)
 		dyn := 1 - float64(res.Energy)/float64(ref.Energy)
 
 		sweep := r.staticSweep(spec, freqs)

@@ -7,21 +7,17 @@ import (
 	"depburst/internal/sim"
 )
 
-// FeedbackRun executes spec under the closed-loop feedback manager
-// (memoised). The manager is nil when the result came from the persistent
-// disk cache.
-func (r *Runner) FeedbackRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.FeedbackManager) {
+// feedbackJob is spec under the closed-loop feedback manager.
+func (r *Runner) feedbackJob(spec dacapo.Spec, threshold float64) job {
 	cfg := r.Base
 	cfg.Freq = FMax
 	spec.Configure(&cfg)
 	mcfg := energy.DefaultManagerConfig(threshold)
-	res, mgr := unwind(r.run(r.context(), "feedback", cfg, dacapo.New(spec), func(m *sim.Machine) any {
+	return job{kind: "feedback", cfg: cfg, w: dacapo.New(spec), govern: func(m *sim.Machine) any {
 		mg := energy.NewFeedbackManager(mcfg)
 		m.SetGovernor(mg.Governor())
 		return mg
-	}, spec, mcfg))
-	mg, _ := mgr.(*energy.FeedbackManager)
-	return res, mg
+	}, extra: []any{spec, mcfg}}
 }
 
 // FeedbackAblation compares the paper's open-loop manager with the
@@ -33,9 +29,9 @@ func (r *Runner) FeedbackAblation(threshold float64) *report.Table {
 	for _, spec := range r.Suite() {
 		spec := spec
 		warm = append(warm,
-			func() { r.Truth(spec, FMax) },
-			func() { r.ManagedRun(spec, threshold) },
-			func() { r.FeedbackRun(spec, threshold) })
+			func() { r.TruthSummary(spec, FMax) },
+			func() { r.ManagedSummary(spec, threshold) },
+			func() { r.summary(r.feedbackJob(spec, threshold)) })
 	}
 	r.FanOut(warm...)
 
@@ -46,9 +42,9 @@ func (r *Runner) FeedbackAblation(threshold float64) *report.Table {
 	}
 	var openM, fbM, openOver, fbOver []float64
 	for _, spec := range r.Suite() {
-		ref := r.Truth(spec, FMax)
-		open, _ := r.ManagedRun(spec, threshold)
-		fb, _ := r.FeedbackRun(spec, threshold)
+		ref := r.TruthSummary(spec, FMax)
+		open := r.ManagedSummary(spec, threshold)
+		fb := r.summary(r.feedbackJob(spec, threshold))
 		oSlow := report.RelError(float64(open.Time), float64(ref.Time))
 		oSave := 1 - float64(open.Energy)/float64(ref.Energy)
 		fSlow := report.RelError(float64(fb.Time), float64(ref.Time))

@@ -10,16 +10,54 @@ import (
 // PredictionError runs spec at base, predicts at target with model, and
 // returns the relative error (predicted/actual - 1).
 func (r *Runner) PredictionError(spec dacapo.Spec, m core.Model, base, target units.Freq) float64 {
-	obs := Observe(r.Truth(spec, base))
-	actual := r.Truth(spec, target).Time
-	predicted := m.Predict(obs, target)
-	return report.RelError(float64(predicted), float64(actual))
+	return predictionError(m, Observe(r.Truth(spec, base)), target, r.TruthSummary(spec, target).Time)
+}
+
+// predictionError is the relative error of m predicting, from the base
+// observation obs, a run at target that measured actual.
+func predictionError(m core.Model, obs *core.Observation, target units.Freq, actual units.Time) float64 {
+	return report.RelError(float64(m.Predict(obs, target)), float64(actual))
+}
+
+// basesAndTargets fetches, in one fan-out, the full runs of specs at base
+// and the heads of their runs at every target, and returns the bases'
+// observations in spec order.
+func (r *Runner) basesAndTargets(specs []dacapo.Spec, base units.Freq, targets ...units.Freq) []*core.Observation {
+	var obs []*core.Observation
+	r.FanOut(
+		func() { r.Prewarm(specs, targets...) },
+		func() { obs = r.Observations(specs, base) })
+	return obs
+}
+
+// observePair fetches the suite's full runs at two frequencies in one
+// fan-out, for experiments that predict in both directions: each run is
+// one direction's base and, through its Total, the other's truth.
+func (r *Runner) observePair(a, b units.Freq) (oa, ob []*core.Observation) {
+	r.FanOut(
+		func() { oa = r.Observations(r.Suite(), a) },
+		func() { ob = r.Observations(r.Suite(), b) })
+	return oa, ob
+}
+
+// direction is one way of predicting between the runs observePair
+// fetched: from the base observations to the target's.
+type direction struct {
+	name     string
+	target   units.Freq
+	from, to []*core.Observation
+}
+
+// directions are 1 GHz to 4 GHz and back, over observePair(1000, 4000).
+func directions(lo, hi []*core.Observation) []direction {
+	return []direction{{"1->4GHz", 4000, lo, hi}, {"4->1GHz", 1000, hi, lo}}
 }
 
 // Fig1 reproduces Figure 1: average absolute prediction error of M+CRIT
 // versus DEP+BURST for target frequencies 2-4 GHz from a 1 GHz baseline.
 func (r *Runner) Fig1() *report.Table {
-	r.Prewarm(r.Suite(), 1000, 2000, 3000, 4000)
+	targets := []units.Freq{2000, 3000, 4000}
+	obs := r.basesAndTargets(r.Suite(), 1000, targets...)
 	models := []core.Model{
 		core.NewMCrit(core.Options{}),
 		core.NewDEPBurst(),
@@ -28,12 +66,12 @@ func (r *Runner) Fig1() *report.Table {
 		Title:  "Figure 1: average absolute prediction error vs target frequency (base 1 GHz)",
 		Header: []string{"target", "M+CRIT", "DEP+BURST"},
 	}
-	for _, target := range []units.Freq{2000, 3000, 4000} {
+	for _, target := range targets {
 		row := []string{target.String()}
 		for _, m := range models {
 			var errs []float64
-			for _, spec := range r.Suite() {
-				errs = append(errs, r.PredictionError(spec, m, 1000, target))
+			for i, spec := range r.Suite() {
+				errs = append(errs, predictionError(m, obs[i], target, r.TruthSummary(spec, target).Time))
 			}
 			row = append(row, report.PctAbs(report.MeanAbs(errs)))
 		}
@@ -46,7 +84,7 @@ func (r *Runner) Fig1() *report.Table {
 // fig3 builds one direction of Figure 3: per-benchmark errors for all six
 // models at each target frequency.
 func (r *Runner) fig3(title string, base units.Freq, targets []units.Freq) *report.Table {
-	r.Prewarm(r.Suite(), append([]units.Freq{base}, targets...)...)
+	obs := r.basesAndTargets(r.Suite(), base, targets...)
 	models := Models()
 	header := []string{"benchmark", "target"}
 	for _, m := range models {
@@ -55,13 +93,12 @@ func (r *Runner) fig3(title string, base units.Freq, targets []units.Freq) *repo
 	t := &report.Table{Title: title, Header: header}
 
 	errsByModel := make([][]float64, len(models))
-	for _, spec := range r.Suite() {
-		obs := Observe(r.Truth(spec, base))
+	for i, spec := range r.Suite() {
 		for _, target := range targets {
-			actual := r.Truth(spec, target).Time
+			actual := r.TruthSummary(spec, target).Time
 			row := []string{spec.Name, target.String()}
 			for mi, m := range models {
-				e := report.RelError(float64(m.Predict(obs, target)), float64(actual))
+				e := predictionError(m, obs[i], target, actual)
 				errsByModel[mi] = append(errsByModel[mi], e)
 				row = append(row, report.Pct(e))
 			}
@@ -108,29 +145,24 @@ func (r *Runner) Fig3b() *report.Table {
 // Fig4 reproduces Figure 4: DEP+BURST with across-epoch versus per-epoch
 // critical thread prediction, in both directions.
 func (r *Runner) Fig4() *report.Table {
-	r.Prewarm(r.Suite(), 1000, 4000)
+	lo, hi := r.observePair(1000, 4000)
 	across := core.NewDEP(core.Options{Burst: true})
 	per := core.NewDEP(core.Options{Burst: true, PerEpochCTP: true})
 	t := &report.Table{
 		Title:  "Figure 4: across-epoch vs per-epoch CTP (DEP+BURST)",
 		Header: []string{"benchmark", "direction", "across-epoch", "per-epoch"},
 	}
-	type dir struct {
-		name         string
-		base, target units.Freq
-	}
-	dirs := []dir{{"1->4GHz", 1000, 4000}, {"4->1GHz", 4000, 1000}}
 	sums := map[string][]float64{}
-	for _, spec := range r.Suite() {
-		for _, d := range dirs {
-			ea := r.PredictionError(spec, across, d.base, d.target)
-			ep := r.PredictionError(spec, per, d.base, d.target)
+	for i, spec := range r.Suite() {
+		for _, d := range directions(lo, hi) {
+			ea := predictionError(across, d.from[i], d.target, d.to[i].Total)
+			ep := predictionError(per, d.from[i], d.target, d.to[i].Total)
 			sums["a"+d.name] = append(sums["a"+d.name], ea)
 			sums["p"+d.name] = append(sums["p"+d.name], ep)
 			t.AddRow(spec.Name, d.name, report.Pct(ea), report.Pct(ep))
 		}
 	}
-	for _, d := range dirs {
+	for _, d := range directions(lo, hi) {
 		t.AddRow("avg abs", d.name,
 			report.PctAbs(report.MeanAbs(sums["a"+d.name])),
 			report.PctAbs(report.MeanAbs(sums["p"+d.name])))
@@ -148,7 +180,7 @@ func (r *Runner) Table1() *report.Table {
 		Header: []string{"benchmark", "type", "heap(MB)", "exec(ms)", "gc(ms)", "gc%", "minor", "major"},
 	}
 	for _, spec := range r.Suite() {
-		res := r.Truth(spec, 1000)
+		res := r.TruthSummary(spec, 1000)
 		t.AddRow(spec.Name, spec.Class(),
 			itoa(spec.HeapMB),
 			f2(res.Time.Milliseconds()),

@@ -32,18 +32,19 @@ func (r *Runner) HeapPressureSweep(bench string) *report.Table {
 		specs[i] = spec
 		specs[i].Nursery = nursery
 	}
-	r.Prewarm(specs, 1000, 4000)
+	obs := r.basesAndTargets(specs, 1000, 4000)
 
 	for i, nursery := range nurseries {
 		s := specs[i]
-		res := r.Truth(s, 1000)
+		res := r.TruthSummary(s, 1000)
 		gcFrac := float64(res.GC.GCTime) / float64(res.Time)
-		eDep := r.PredictionError(s, dep, 1000, 4000)
-		eM := r.PredictionError(s, mcrit, 1000, 4000)
+		actual := r.TruthSummary(s, 4000).Time
+		eDep := predictionError(dep, obs[i], 4000, actual)
+		eM := predictionError(mcrit, obs[i], 4000, actual)
 		t.AddRow(fmt.Sprintf("%dKiB", nursery>>10),
 			itoa(res.GC.MinorGCs+res.GC.MajorGCs),
 			report.PctAbs(gcFrac),
-			itoa(len(res.Epochs)),
+			itoa(len(obs[i].Epochs)),
 			report.Pct(eDep), report.Pct(eM))
 	}
 	t.AddNote("the predictor must stay accurate from GC-every-few-items down to almost no GC")

@@ -133,8 +133,9 @@ func TestDerivedRunnerSharesMemo(t *testing.T) {
 	}
 }
 
-// TestPrewarmFillsCache: after Prewarm, row assembly must be pure cache
-// hits (same pointers).
+// TestPrewarmFillsCache: Prewarm memoises the head of every run and, on
+// a Runner without a disk cache, simulates and memoises each in full, so
+// row assembly afterwards is pure memo hits in either form.
 func TestPrewarmFillsCache(t *testing.T) {
 	r := NewRunnerWorkers(4)
 	spec, _ := dacapo.ByName("pmd.scale")
@@ -148,6 +149,12 @@ func TestPrewarmFillsCache(t *testing.T) {
 	a := r.Truth(spec, 1000)
 	if a == nil || a.Freq != 1000 {
 		t.Error("prewarmed entry is wrong")
+	}
+	if h := r.TruthSummary(spec, 2000); h.Freq != 2000 || h.Time >= a.Time {
+		t.Errorf("prewarmed head is wrong: %+v", h)
+	}
+	if n := r.Simulations(); n != 2 {
+		t.Errorf("simulations = %d, want 2", n)
 	}
 }
 

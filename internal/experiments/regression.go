@@ -23,13 +23,14 @@ func (r *Runner) RegressionComparison() *report.Table {
 	// training runs (inputs vary between invocations in practice).
 	trainer := *r
 	trainer.Base.Seed = r.Base.Seed + 100
+	var obs []*core.Observation
 	r.FanOut(
 		func() { trainer.Prewarm(r.Suite(), 1000, 2000) },
-		func() { r.Prewarm(r.Suite(), 1000, 3000, 4000) })
+		func() { obs = r.basesAndTargets(r.Suite(), 1000, 3000, 4000) })
 	var regErrs, depErrs []float64
-	for _, spec := range r.Suite() {
-		t1 := trainer.Truth(spec, 1000)
-		t2 := trainer.Truth(spec, 2000)
+	for i, spec := range r.Suite() {
+		t1 := trainer.TruthSummary(spec, 1000)
+		t2 := trainer.TruthSummary(spec, 2000)
 		reg, err := core.FitRegression([]core.TrainingPoint{
 			{Freq: 1000, Time: t1.Time},
 			{Freq: 2000, Time: t2.Time},
@@ -37,11 +38,10 @@ func (r *Runner) RegressionComparison() *report.Table {
 		if err != nil {
 			panic(err)
 		}
-		obs := Observe(r.Truth(spec, 1000))
 		for _, target := range []units.Freq{3000, 4000} {
-			actual := r.Truth(spec, target).Time
+			actual := r.TruthSummary(spec, target).Time
 			eReg := report.RelError(float64(reg.Predict(nil, target)), float64(actual))
-			eDep := report.RelError(float64(dep.Predict(obs, target)), float64(actual))
+			eDep := predictionError(dep, obs[i], target, actual)
 			regErrs = append(regErrs, eReg)
 			depErrs = append(depErrs, eDep)
 			t.AddRow(spec.Name, target.String(), report.Pct(eReg), report.Pct(eDep))

@@ -207,35 +207,43 @@ func unwind(res *sim.Result, mgr any, err error) (*sim.Result, any) {
 	return res, mgr
 }
 
-// entry is one singleflight memo slot. Unlike a sync.Once slot it is
-// retryable: a flight that fails (cancellation) is cleared so the next
-// caller re-executes it, while a successful flight memoises its result
-// forever. res non-nil means complete; done non-nil means in flight.
+// entry is one singleflight memo slot. It holds nothing, a run's head
+// alone (a disk hit for which only the head was asked), or the full result
+// with its head (simulated, or first asked for in full). Unlike a
+// sync.Once slot it is retryable: a flight that fails (cancellation)
+// leaves the slot as it found it, so the next caller re-executes it, while
+// what a successful flight produced is memoised forever. done non-nil
+// means a flight is in progress.
 type entry struct {
 	mu sync.Mutex
 	//depburst:guardedby mu
 	done chan struct{}
+	//depburst:guardedby mu
+	head *sim.Summary
 	//depburst:guardedby mu
 	res *sim.Result
 	//depburst:guardedby mu
 	mgr any
 }
 
-// execFn is one run's body. It returns the result and (for governed runs)
+// execFn is one flight's body. It returns the run's head and, when it
+// decoded or simulated the whole run, the result and (for governed runs)
 // the manager. It must return a non-nil error only for context
 // cancellation; simulator failures panic, as they indicate bugs.
-type execFn func(ctx context.Context) (*sim.Result, any, error)
+type execFn func(ctx context.Context) (*sim.Summary, *sim.Result, any, error)
 
-// do resolves the slot: a memoised result returns immediately, an
-// in-flight one is waited on (abandoning the wait, but not the flight, when
-// ctx is cancelled first), and an idle one is executed by this caller.
-func (e *entry) do(ctx context.Context, exec execFn) (*sim.Result, any, error) {
+// do resolves the slot for a caller that needs the full result (full) or
+// only the head. A slot already holding what the caller needs returns it;
+// an in-flight one, head or full, is waited on (abandoning the wait, but
+// not the flight, when ctx is cancelled first) and then examined again;
+// otherwise this caller executes exec as the flight leader.
+func (e *entry) do(ctx context.Context, full bool, exec execFn) (*sim.Summary, *sim.Result, any, error) {
 	for {
 		e.mu.Lock()
-		if e.res != nil {
-			res, mgr := e.res, e.mgr
+		if e.res != nil || !full && e.head != nil {
+			head, res, mgr := e.head, e.res, e.mgr
 			e.mu.Unlock()
-			return res, mgr, nil
+			return head, res, mgr, nil
 		}
 		if e.done == nil {
 			done := make(chan struct{})
@@ -247,31 +255,34 @@ func (e *entry) do(ctx context.Context, exec execFn) (*sim.Result, any, error) {
 		e.mu.Unlock()
 		select {
 		case <-done:
-			// Loop: either the flight succeeded (res is set) or it was
-			// cancelled and this caller should retry it.
+			// Loop: the flight either filled the slot or was
+			// cancelled, and this caller should retry it.
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, nil, nil, ctx.Err()
 		}
 	}
 }
 
 // lead executes the body as the flight leader and publishes the outcome:
-// success memoises the result; an error or panic clears the flight so a
-// later caller retries instead of inheriting the failure.
-func (e *entry) lead(ctx context.Context, exec execFn, done chan struct{}) (res *sim.Result, mgr any, err error) {
+// success memoises what the flight produced; an error or panic only clears
+// the flight, so a later caller retries instead of inheriting the failure.
+func (e *entry) lead(ctx context.Context, exec execFn, done chan struct{}) (head *sim.Summary, res *sim.Result, mgr any, err error) {
 	completed := false
 	defer func() {
 		e.mu.Lock()
 		if completed {
-			e.res, e.mgr = res, mgr
+			e.head = head
+			if res != nil {
+				e.res, e.mgr = res, mgr
+			}
 		}
 		e.done = nil
 		close(done)
 		e.mu.Unlock()
 	}()
-	res, mgr, err = exec(ctx)
+	head, res, mgr, err = exec(ctx)
 	completed = err == nil
-	return res, mgr, err
+	return head, res, mgr, err
 }
 
 // NewRunner returns a Runner over the default machine with a worker pool
@@ -335,52 +346,89 @@ func (r *Runner) gate(ctx context.Context) (func(), error) {
 	}
 }
 
-// run resolves one memoised run of workload w on machine cfg: the memo,
-// then the disk cache, then a pool slot and a live simulation written back
-// to disk. kind names the run family and extra carries every input beyond
-// cfg that shapes the result; together they form the content key. govern,
-// when non-nil, installs a governor on the machine and returns its
-// manager, which is memoised beside the result (nil on disk hits: only
-// results persist). A full-detail truth run of one benchmark also leaves
-// the surrogate training sidecar next to its disk entry.
-func (r *Runner) run(ctx context.Context, kind string, cfg sim.Config, w sim.Workload, govern func(*sim.Machine) any, extra ...any) (*sim.Result, any, error) {
-	key := contentKey(kind, cfg, extra...)
-	return r.memo.slot(key).do(ctx, func(ctx context.Context) (*sim.Result, any, error) {
+// job is one run's complete input: its family (kind), the machine, the
+// workload, the governor and every other input that shapes the result.
+// kind, cfg and extra form the content key. govern, when non-nil,
+// installs a governor on the machine and returns its manager.
+type job struct {
+	kind   string
+	cfg    sim.Config
+	w      sim.Workload
+	govern func(*sim.Machine) any
+	extra  []any
+}
+
+// run resolves one memoised run in full. The manager of a governed run is
+// memoised beside the result (nil on disk hits: only results persist).
+func (r *Runner) run(ctx context.Context, j job) (*sim.Result, any, error) {
+	_, res, mgr, err := r.resolve(ctx, j, true)
+	return res, mgr, err
+}
+
+// summary resolves only the head of one memoised run, on the binding
+// context, unwinding cancellation like unwind.
+func (r *Runner) summary(j job) sim.Summary {
+	head, _, _, err := r.resolve(r.context(), j, false)
+	if err != nil {
+		panic(canceled{err})
+	}
+	return *head
+}
+
+// resolve resolves one memoised run: the memo, then the disk cache, then a
+// pool slot and a live simulation written back to disk. A caller that
+// needs only the head (full unset) decodes only the head of a disk entry;
+// a live simulation memoises the whole result either way. A full-detail
+// truth run of one benchmark also leaves the surrogate training sidecar
+// next to its disk entry, on a hit of either kind as on a write.
+func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *sim.Result, any, error) {
+	key := contentKey(j.kind, j.cfg, j.extra...)
+	return r.memo.slot(key).do(ctx, full, func(ctx context.Context) (*sim.Summary, *sim.Result, any, error) {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if r.disk != nil {
-			var res sim.Result
-			if r.disk.Get(key, &res) {
-				r.putTruthMeta(key, cfg, w, govern)
-				return &res, nil, nil
+			if full {
+				var res sim.Result
+				if r.disk.Get(key, &res) {
+					r.putTruthMeta(key, j)
+					head := res.Summary()
+					return &head, &res, nil, nil
+				}
+			} else {
+				var head sim.Summary
+				if r.disk.Get(key, &head) {
+					r.putTruthMeta(key, j)
+					return &head, nil, nil, nil
+				}
 			}
 		}
 		release, err := r.gate(ctx)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		defer release()
 		r.sims.Add(1)
-		m := sim.New(cfg)
+		m := sim.New(j.cfg)
 		var mgr any
-		if govern != nil {
-			mgr = govern(m)
+		if j.govern != nil {
+			mgr = j.govern(m)
 		}
-		out, err := m.RunContext(ctx, w)
+		out, err := m.RunContext(ctx, j.w)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, cerr
+				return nil, nil, nil, cerr
 			}
-			panic(fmt.Sprintf("experiments: %s@%v: %v", w.Name(), cfg.Freq, err))
+			panic(fmt.Sprintf("experiments: %s@%v: %v", j.w.Name(), j.cfg.Freq, err))
 		}
 		if r.disk != nil {
 			// Best effort: a full or read-only cache must never fail the
 			// experiment that produced the result.
 			_ = r.disk.Put(key, &out)
-			r.putTruthMeta(key, cfg, w, govern)
+			r.putTruthMeta(key, j)
 		}
-		return &out, mgr, nil
+		head := out.Summary()
+		return &head, &out, mgr, nil
 	})
 }
 
@@ -389,12 +437,20 @@ func (r *Runner) run(ctx context.Context, kind string, cfg sim.Config, w sim.Wor
 // scannable corpus. Hits backfill sidecars missing from older corpora.
 // Governed, co-run, sequential and sampled-mode results are never offered
 // to the trainer.
-func (r *Runner) putTruthMeta(key string, cfg sim.Config, w sim.Workload, govern func(*sim.Machine) any) {
-	b, ok := w.(*dacapo.Workload)
-	if !ok || govern != nil || cfg.Sampling.Enabled || r.disk.HasMeta(key) {
+func (r *Runner) putTruthMeta(key string, j job) {
+	b, ok := j.w.(*dacapo.Workload)
+	if !ok || j.govern != nil || j.cfg.Sampling.Enabled || r.disk.HasMeta(key) {
 		return
 	}
-	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(cfg, b.Spec))
+	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(j.cfg, b.Spec))
+}
+
+// truthJob is the measured run of spec at frequency f.
+func (r *Runner) truthJob(spec dacapo.Spec, f units.Freq) job {
+	cfg := r.Base
+	cfg.Freq = f
+	spec.Configure(&cfg)
+	return job{kind: "truth", cfg: cfg, w: dacapo.New(spec), extra: []any{spec}}
 }
 
 // Truth returns the measured run of spec at frequency f. The run is
@@ -415,11 +471,16 @@ func (r *Runner) Truth(spec dacapo.Spec, f units.Freq) *sim.Result {
 // aborts, if this caller was the flight leader) is retried by the next
 // caller.
 func (r *Runner) TruthCtx(ctx context.Context, spec dacapo.Spec, f units.Freq) (*sim.Result, error) {
-	cfg := r.Base
-	cfg.Freq = f
-	spec.Configure(&cfg)
-	res, _, err := r.run(ctx, "truth", cfg, dacapo.New(spec), nil, spec)
+	res, _, err := r.run(ctx, r.truthJob(spec, f))
 	return res, err
+}
+
+// TruthSummary returns the head of Truth(spec, f): its time, energy, DRAM
+// and GC totals. It shares Truth's memo slot, so it returns at once when
+// the run is memoised in either form and otherwise decodes only the head
+// of a disk entry; a run no cache holds is simulated and memoised in full.
+func (r *Runner) TruthSummary(spec dacapo.Spec, f units.Freq) sim.Summary {
+	return r.summary(r.truthJob(spec, f))
 }
 
 // FanOut runs the closures concurrently and waits for all of them. The
@@ -460,17 +521,31 @@ func (r *Runner) FanOut(fns ...func()) {
 }
 
 // Prewarm fans out the truth runs for every (spec, freq) pair and blocks
-// until the whole matrix is memoised. Experiments call it up front so row
-// assembly afterwards is pure cache hits.
+// until the head of each is memoised (TruthSummary), simulating whatever
+// no cache holds. Experiments call it up front for the runs whose scalars
+// they read, beside Observations for the runs whose detail they read, so
+// row assembly afterwards is pure memo hits.
 func (r *Runner) Prewarm(specs []dacapo.Spec, freqs ...units.Freq) {
 	fns := make([]func(), 0, len(specs)*len(freqs))
 	for _, spec := range specs {
 		for _, f := range freqs {
-			spec, f := spec, f
-			fns = append(fns, func() { r.Truth(spec, f) })
+			fns = append(fns, func() { r.TruthSummary(spec, f) })
 		}
 	}
 	r.FanOut(fns...)
+}
+
+// Observations fetches the full truth runs of specs at f concurrently and
+// returns their observations in spec order: the prediction bases of an
+// experiment, whose epochs and threads the predictors read.
+func (r *Runner) Observations(specs []dacapo.Spec, f units.Freq) []*core.Observation {
+	obs := make([]*core.Observation, len(specs))
+	fns := make([]func(), len(specs))
+	for i, spec := range specs {
+		fns[i] = func() { obs[i] = Observe(r.Truth(spec, f)) }
+	}
+	r.FanOut(fns...)
+	return obs
 }
 
 // Observe converts a measured run into the predictor-visible observation.

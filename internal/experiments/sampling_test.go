@@ -168,7 +168,7 @@ func TestContentKeyAudit(t *testing.T) {
 
 	mcfg := energy.DefaultManagerConfig(0.10)
 	chip := func(d *Runner) {
-		if _, _, err := d.run(ctx, "chip", d.Base, nil, nil, spec, mcfg); !errors.Is(err, context.Canceled) {
+		if _, _, err := d.run(ctx, job{kind: "chip", cfg: d.Base, extra: []any{spec, mcfg}}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("governed run under a cancelled context: %v", err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"depburst/internal/core"
 	"depburst/internal/report"
-	"depburst/internal/units"
 )
 
 // SeedSensitivity checks that the headline accuracy result is robust to
@@ -19,30 +18,26 @@ func (r *Runner) SeedSensitivity(seeds []uint64) *report.Table {
 		Title:  "Robustness: prediction error vs workload seed (suite avg abs)",
 		Header: []string{"seed", "M+CRIT 1->4", "DEP+BURST 1->4", "M+CRIT 4->1", "DEP+BURST 4->1"},
 	}
-	type dir struct{ base, target units.Freq }
-	dirs := []dir{{1000, 4000}, {4000, 1000}}
 	models := []core.Model{core.NewMCrit(core.Options{}), core.NewDEPBurst()}
 
-	// One derived Runner per seed: all seeds' truth matrices fan out
-	// together before rows are assembled.
-	runners := make([]*Runner, len(seeds))
+	// One derived Runner per seed: all seeds' runs fan out together
+	// before rows are assembled.
+	dirs := make([][]direction, len(seeds))
 	var warm []func()
 	for i, seed := range seeds {
 		rn := *r
 		rn.Base.Seed = seed
-		runners[i] = &rn
-		warm = append(warm, func() { rn.Prewarm(r.Suite(), 1000, 4000) })
+		warm = append(warm, func() { dirs[i] = directions(rn.observePair(1000, 4000)) })
 	}
 	r.FanOut(warm...)
 
 	for i, seed := range seeds {
-		rn := runners[i]
 		row := []string{fmt.Sprint(seed)}
-		for _, d := range dirs {
+		for _, d := range dirs[i] {
 			for _, m := range models {
 				var errs []float64
-				for _, spec := range r.Suite() {
-					errs = append(errs, rn.PredictionError(spec, m, d.base, d.target))
+				for k := range r.Suite() {
+					errs = append(errs, predictionError(m, d.from[k], d.target, d.to[k].Total))
 				}
 				row = append(row, report.PctAbs(report.MeanAbs(errs)))
 			}

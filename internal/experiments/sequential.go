@@ -111,6 +111,6 @@ func (r *Runner) SequentialBackground() *report.Table {
 func (r *Runner) seqTruth(w seqWorkload, f units.Freq) *sim.Result {
 	cfg := r.Base
 	cfg.Freq = f
-	res, _ := unwind(r.run(r.context(), "seq", cfg, w, nil, w.name, w.profile, w.instrs))
+	res, _ := unwind(r.run(r.context(), job{kind: "seq", cfg: cfg, w: w, extra: []any{w.name, w.profile, w.instrs}}))
 	return res
 }

@@ -14,9 +14,10 @@ func (r *Runner) GCPolicyAblation() *report.Table {
 	semi := *r
 	semi.Base.JVM.Policy = jvm.FullHeapSemispace
 
+	var genObs, semiObs []*core.Observation
 	r.FanOut(
-		func() { r.Prewarm(r.Suite(), 1000, 4000) },
-		func() { semi.Prewarm(r.Suite(), 1000, 4000) })
+		func() { genObs = r.basesAndTargets(r.Suite(), 1000, 4000) },
+		func() { semiObs = semi.basesAndTargets(r.Suite(), 1000, 4000) })
 
 	t := &report.Table{
 		Title: "Ablation: GC policy (generational vs full-heap semispace)",
@@ -24,16 +25,16 @@ func (r *Runner) GCPolicyAblation() *report.Table {
 			"gen gc%", "semi gc%", "gen DEP+BURST 1->4", "semi DEP+BURST 1->4"},
 	}
 	m := core.NewDEPBurst()
-	for _, spec := range r.Suite() {
+	for i, spec := range r.Suite() {
 		if !spec.Memory {
 			continue // the contrast only matters where GC matters
 		}
-		gen := r.Truth(spec, 1000)
-		sm := semi.Truth(spec, 1000)
+		gen := r.TruthSummary(spec, 1000)
+		sm := semi.TruthSummary(spec, 1000)
 		genGC := float64(gen.GC.GCTime) / float64(gen.Time)
 		semiGC := float64(sm.GC.GCTime) / float64(sm.Time)
-		eGen := r.PredictionError(spec, m, 1000, 4000)
-		eSemi := semi.PredictionError(spec, m, 1000, 4000)
+		eGen := predictionError(m, genObs[i], 4000, r.TruthSummary(spec, 4000).Time)
+		eSemi := predictionError(m, semiObs[i], 4000, semi.TruthSummary(spec, 4000).Time)
 		t.AddRow(spec.Name,
 			report.PctAbs(genGC), report.PctAbs(semiGC),
 			report.Pct(eGen), report.Pct(eSemi))
@@ -50,9 +51,10 @@ func (r *Runner) PrefetchAblation() *report.Table {
 	pf := *r
 	pf.Base.Hier.NextLinePrefetch = true
 
+	var offObs, onObs []*core.Observation
 	r.FanOut(
-		func() { r.Prewarm(r.Suite(), 1000, 4000) },
-		func() { pf.Prewarm(r.Suite(), 1000, 4000) })
+		func() { offObs = r.basesAndTargets(r.Suite(), 1000, 4000) },
+		func() { onObs = pf.basesAndTargets(r.Suite(), 1000, 4000) })
 
 	t := &report.Table{
 		Title: "Ablation: L2 next-line prefetcher",
@@ -60,12 +62,12 @@ func (r *Runner) PrefetchAblation() *report.Table {
 			"time off", "time on", "speedup", "DEP+BURST 1->4 off", "on"},
 	}
 	m := core.NewDEPBurst()
-	for _, spec := range r.Suite() {
-		off := r.Truth(spec, 1000)
-		on := pf.Truth(spec, 1000)
+	for i, spec := range r.Suite() {
+		off := r.TruthSummary(spec, 1000)
+		on := pf.TruthSummary(spec, 1000)
 		speed := float64(off.Time)/float64(on.Time) - 1
-		eOff := r.PredictionError(spec, m, 1000, 4000)
-		eOn := pf.PredictionError(spec, m, 1000, 4000)
+		eOff := predictionError(m, offObs[i], 4000, r.TruthSummary(spec, 4000).Time)
+		eOn := predictionError(m, onObs[i], 4000, pf.TruthSummary(spec, 4000).Time)
 		t.AddRow(spec.Name,
 			f2(off.Time.Milliseconds()), f2(on.Time.Milliseconds()),
 			report.Pct(speed), report.Pct(eOff), report.Pct(eOn))

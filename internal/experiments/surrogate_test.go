@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"depburst/internal/dacapo"
 	"depburst/internal/sampling"
+	"depburst/internal/sim"
 	"depburst/internal/simcache"
 	"depburst/internal/surrogate"
 	"depburst/internal/units"
@@ -140,5 +142,54 @@ func TestSurrogateRetrainDeterminism(t *testing.T) {
 	}
 	if again := encode(1); !bytes.Equal(j1, again) {
 		t.Error("retraining from an identically-built corpus changed the model bytes")
+	}
+}
+
+// scanFull is surrogate.Scan as it was before it read only heads: every
+// sample's time comes from a full decode of its entry. It is Scan's oracle.
+func scanFull(t *testing.T, st *simcache.Store) []surrogate.Sample {
+	t.Helper()
+	keys, err := st.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []surrogate.Sample
+	for _, k := range keys {
+		var m surrogate.Manifest
+		if !st.GetMeta(k, &m) || m.Kind != surrogate.KindTruth || m.Config.Sampling.Enabled || m.Config.Freq <= 0 {
+			continue
+		}
+		var res sim.Result
+		if !st.Get(k, &res) || res.Time < 0 {
+			continue
+		}
+		samples = append(samples, surrogate.Sample{Config: m.Config, Spec: m.Spec, Time: res.Time})
+	}
+	return samples
+}
+
+// TestScanMatchesFullDecode: Scan, which decodes only the head of each
+// entry, returns exactly the samples a full decode of every entry gives,
+// on a Runner-built corpus with a governed entry beside the truths.
+func TestScanMatchesFullDecode(t *testing.T) {
+	spec, err := dacapo.ByName("pmd.scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := spec.Scaled(2)
+	b.Name = "pmd.b"
+	st, err := simcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cachedRunner(2, st)
+	r.Prewarm([]dacapo.Spec{spec, b}, 1000, 2000, 4000)
+	r.ManagedRun(spec, 0.10)
+	got, err := surrogate.Scan(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scanFull(t, st); len(got) != 6 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scan returned %d samples %+v, a full-decode scan %d %+v", len(got), got, len(want), want)
 	}
 }

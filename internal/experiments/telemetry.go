@@ -95,7 +95,8 @@ func (r *Runner) ErrorBreakdown(spec dacapo.Spec, o core.Options, base, target u
 // (pipeline vs memory vs burst vs idle) and how far the prediction landed
 // from the measured truth.
 func (r *Runner) ErrorBreakdownTable(base, target units.Freq) *report.Table {
-	r.Prewarm(r.Suite(), base, target)
+	// ErrorBreakdown reads both runs in full.
+	r.observePair(base, target)
 
 	t := &report.Table{
 		Title: fmt.Sprintf("Prediction-error breakdown: DEP+BURST, %v -> %v", base, target),

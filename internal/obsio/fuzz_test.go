@@ -29,9 +29,9 @@ func seedObservation() *core.Observation {
 }
 
 // FuzzObsRoundTrip feeds arbitrary bytes to the observation reader. Any
-// input the reader accepts must survive Write -> Read unchanged, and the
-// written form must be canonical (a second Write of the re-read
-// observation is byte-identical).
+// input the reader accepts must be predictable without a panic, survive
+// Write -> Read unchanged, and the written form must be canonical (a
+// second Write of the re-read observation is byte-identical).
 func FuzzObsRoundTrip(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Write(&buf, "seed", seedObservation()); err != nil {
@@ -46,6 +46,9 @@ func FuzzObsRoundTrip(f *testing.F) {
 		name, obs, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: nothing else to check
+		}
+		for _, m := range []core.Model{core.NewMCrit(core.Options{}), core.NewCOOP(core.Options{}), core.NewDEPBurst()} {
+			m.Predict(obs, 4000)
 		}
 		var out bytes.Buffer
 		if err := Write(&out, name, obs); err != nil {

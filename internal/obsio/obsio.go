@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"depburst/internal/core"
+	"depburst/internal/kernel"
 )
 
 // formatVersion guards against loading observations written by an
@@ -80,6 +81,12 @@ func ReadFile(path string) (string, *core.Observation, error) {
 	return Read(f)
 }
 
+// MaxThreadID is the largest thread ID an observation may name. DEP keeps
+// one slack entry per thread ID up to the largest it sees, so the cap
+// bounds that table (8 bytes per ID) for recordings from outside; a
+// simulated run numbers its threads densely from 0 and stays far below it.
+const MaxThreadID = 1 << 16
+
 // validate rejects observations that would make predictors misbehave.
 func validate(obs *core.Observation) error {
 	if obs.Base <= 0 {
@@ -97,10 +104,21 @@ func validate(obs *core.Observation) error {
 			return fmt.Errorf("obsio: epoch %d overlaps its predecessor", i)
 		}
 		prevEnd = int64(ep.End)
+		if ep.StallTID != kernel.NoThread && (ep.StallTID < 0 || ep.StallTID > MaxThreadID) {
+			return fmt.Errorf("obsio: epoch %d stalls thread %d, outside [0, %d]", i, ep.StallTID, MaxThreadID)
+		}
+		for _, sl := range ep.Slices {
+			if sl.TID < 0 || sl.TID > MaxThreadID {
+				return fmt.Errorf("obsio: epoch %d has a slice of thread %d, outside [0, %d]", i, sl.TID, MaxThreadID)
+			}
+		}
 	}
 	for i, t := range obs.Threads {
 		if t.End < t.Start {
 			return fmt.Errorf("obsio: thread %d ends before it starts", i)
+		}
+		if t.TID > MaxThreadID {
+			return fmt.Errorf("obsio: thread %d has ID %d, above %d", i, t.TID, MaxThreadID)
 		}
 	}
 	return nil

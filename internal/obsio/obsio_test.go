@@ -119,3 +119,40 @@ func TestValidation(t *testing.T) {
 		t.Error("inverted thread lifetime accepted")
 	}
 }
+
+// TestThreadIDValidation rejects the thread IDs the DEP predictor cannot
+// index: a negative slice thread, a negative stall other than NoThread, and
+// any ID above MaxThreadID. IDs at the cap and NoThread stalls load.
+func TestThreadIDValidation(t *testing.T) {
+	for name, tc := range map[string]struct {
+		edit func(*core.Observation)
+		ok   bool
+	}{
+		"negative slice":   {func(o *core.Observation) { o.Epochs[0].Slices[0].TID = -1 }, false},
+		"negative stall":   {func(o *core.Observation) { o.Epochs[0].StallTID = -2 }, false},
+		"slice above cap":  {func(o *core.Observation) { o.Epochs[1].Slices[0].TID = MaxThreadID + 1 }, false},
+		"stall above cap":  {func(o *core.Observation) { o.Epochs[0].StallTID = MaxThreadID + 1 }, false},
+		"thread above cap": {func(o *core.Observation) { o.Threads[0].TID = MaxThreadID + 1 }, false},
+		"at the cap": {func(o *core.Observation) {
+			o.Epochs[0].StallTID = MaxThreadID
+			o.Epochs[1].Slices[0].TID = MaxThreadID
+			o.Threads[0].TID = MaxThreadID
+		}, true},
+		"NoThread stall": {func(o *core.Observation) { o.Epochs[0].StallTID = kernel.NoThread }, true},
+	} {
+		obs := sampleObs()
+		tc.edit(obs)
+		var buf bytes.Buffer
+		if err := Write(&buf, "x", obs); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := Read(&buf)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: error %v, want accepted %v", name, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			core.NewDEPBurst().Predict(got, 4000)
+		}
+	}
+}

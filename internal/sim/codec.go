@@ -48,7 +48,8 @@ const CodecVersion = 1
 //
 // The totals ahead of the epochs and samples let the decoder back every
 // epoch's Slices with one slab and every sample's PerCore with another.
-// Empty slices decode as nil.
+// Empty slices decode as nil. Everything ahead of the GC pause count is the
+// head a Summary decodes.
 
 // Smallest encoded size of each repeated element, in bytes: every varint,
 // bool and counter mask takes at least one byte, every string at least its
@@ -195,6 +196,63 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 		return d.err
 	}
 	*r = res
+	return nil
+}
+
+// Summary is a Result's head: every scalar the codec writes ahead of its
+// first repeated section (the GC pause list). Callers that read only these
+// fields decode a Summary instead of the whole Result; the two decoders
+// share one head.
+type Summary struct {
+	Workload           string
+	Freq               units.Freq
+	Time               units.Time
+	Energy             units.Energy
+	Transitions        int
+	TransitionOverhead units.Time
+	DRAM               DRAMStats
+	GC                 GCTotals
+}
+
+// GCTotals is jvm.Stats without its per-pause list.
+type GCTotals struct {
+	MinorGCs, MajorGCs      int
+	GCTime                  units.Time
+	AllocBytes, CopiedBytes int64
+}
+
+// Summary returns the result's head.
+func (r *Result) Summary() Summary {
+	return Summary{
+		Workload:           r.Workload,
+		Freq:               r.Freq,
+		Time:               r.Time,
+		Energy:             r.Energy,
+		Transitions:        r.Transitions,
+		TransitionOverhead: r.TransitionOverhead,
+		DRAM:               r.DRAM,
+		GC: GCTotals{
+			MinorGCs:    r.GC.MinorGCs,
+			MajorGCs:    r.GC.MajorGCs,
+			GCTime:      r.GC.GCTime,
+			AllocBytes:  r.GC.AllocBytes,
+			CopiedBytes: r.GC.CopiedBytes,
+		},
+	}
+}
+
+// UnmarshalBinary decodes the head of an encoding MarshalBinary produced
+// and ignores the rest: it checks the codec version, rejects a malformed or
+// truncated head, and assigns the receiver only on success. Whatever
+// follows the head is not read, so only a full decode proves it sound.
+func (s *Summary) UnmarshalBinary(data []byte) error {
+	d := decoder{buf: data}
+	var res Result
+	d.head(&res)
+	if d.err != nil {
+		return d.err
+	}
+	*s = res.Summary()
 	return nil
 }
 
@@ -382,7 +440,8 @@ func (d *decoder) counters(c *cpu.Counters, mask uint64) {
 	c.StoresDRAM = v[11]
 }
 
-func (d *decoder) result(r *Result) {
+// head decodes the version and the scalars ahead of the GC pause list.
+func (d *decoder) head(r *Result) {
 	if v := d.uvarint(); v != CodecVersion {
 		d.fail(fmt.Sprintf("codec version %d, want %d", v, CodecVersion))
 		return
@@ -406,6 +465,10 @@ func (d *decoder) result(r *Result) {
 	r.GC.GCTime = units.Time(d.varint())
 	r.GC.AllocBytes = d.varint()
 	r.GC.CopiedBytes = d.varint()
+}
+
+func (d *decoder) result(r *Result) {
+	d.head(r)
 	if n := d.count(minPause); n > 0 {
 		r.GC.Pauses = make([]jvm.Pause, n)
 		for i := range r.GC.Pauses {

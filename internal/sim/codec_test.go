@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -290,16 +291,148 @@ func sameResult(a, b *sim.Result) bool {
 	return reflect.DeepEqual(ac, bc)
 }
 
-// FuzzResultDecode feeds arbitrary bytes to the decoder: it must never
-// panic, and any input it accepts must re-encode to bytes that decode to
-// the same value and re-encode identically. Its seeds are the corpus under
-// testdata/fuzz/FuzzResultDecode: a valid small encoding, a truncated one,
-// a wrong version and a huge count.
+// TestSummaryMatchesResult decodes the head of real results of every run
+// family, and of the empty result: it equals the Summary of the full decode.
+func TestSummaryMatchesResult(t *testing.T) {
+	cases := map[string]*sim.Result{"empty": {}}
+	for name, res := range fixtures(t) {
+		cases[name] = res
+	}
+	for name, res := range cases {
+		t.Run(name, func(t *testing.T) {
+			data, err := res.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var full sim.Result
+			if err := full.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			var head sim.Summary
+			if err := head.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			if head != full.Summary() || head != res.Summary() {
+				t.Fatalf("head %+v, full decode's summary %+v", head, full.Summary())
+			}
+		})
+	}
+}
+
+// scalarLeaves records the path and type of every field reachable from t
+// through struct fields alone: slices and pointers lead to the repeated
+// and optional sections behind the head.
+func scalarLeaves(t reflect.Type, path string, out map[string]reflect.Type) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch p := path + f.Name; f.Type.Kind() {
+		case reflect.Struct:
+			scalarLeaves(f.Type, p+".", out)
+		case reflect.Slice, reflect.Pointer:
+		default:
+			out[p] = f.Type
+		}
+	}
+}
+
+// fieldAt returns the field of v at a dotted path.
+func fieldAt(v reflect.Value, path string) reflect.Value {
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
+	}
+	return v
+}
+
+// TestSummaryCoversHead audits the head by reflection: Summary has exactly
+// the scalar fields of Result (same paths, same types), Summary() copies
+// each one, the head of a result whose every field is set decodes to that
+// Summary, and the head ends where the GC pause count begins.
+func TestSummaryCoversHead(t *testing.T) {
+	want, got := map[string]reflect.Type{}, map[string]reflect.Type{}
+	scalarLeaves(reflect.TypeOf(sim.Result{}), "", want)
+	scalarLeaves(reflect.TypeOf(sim.Summary{}), "", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Summary fields %v, Result scalars %v", got, want)
+	}
+
+	res := filled(t)
+	sum := res.Summary()
+	for path := range want {
+		if a, b := fieldAt(reflect.ValueOf(sum), path), fieldAt(reflect.ValueOf(res), path); a.Interface() != b.Interface() {
+			t.Errorf("Summary().%s = %v, Result.%s = %v", path, a, path, b)
+		}
+	}
+	data, _ := res.MarshalBinary()
+	var head sim.Summary
+	if err := head.UnmarshalBinary(data); err != nil || head != sum {
+		t.Fatalf("head decode: %+v, %v; want %+v", head, err, sum)
+	}
+
+	// With every repeated section empty and no Sampling, the encoding is
+	// the head plus eight zero bytes: the counts of pauses, threads,
+	// marks, epochs, epoch slices, samples and per-core samples, and the
+	// Sampling presence byte. The head is the same bytes in res's own
+	// encoding, followed there by its pause count.
+	bare := res
+	bare.GC.Pauses, bare.Threads, bare.Marks, bare.Epochs, bare.Samples, bare.Sampling = nil, nil, nil, nil, nil, nil
+	enc, _ := bare.MarshalBinary()
+	n := len(enc) - 8
+	if !bytes.Equal(enc[n:], make([]byte, 8)) || !bytes.Equal(enc[:n], data[:n]) {
+		t.Fatal("the head is not a prefix shared by both encodings")
+	}
+	if data[n] != byte(len(res.GC.Pauses)) {
+		t.Fatalf("byte %d after the head is %d, want the pause count %d", n, data[n], len(res.GC.Pauses))
+	}
+	if err := head.UnmarshalBinary(enc[:n]); err != nil || head != sum {
+		t.Fatalf("the head alone decodes to %+v, %v", head, err)
+	}
+}
+
+// TestSummaryRejectsBadHead checks that an unknown version and every
+// truncation of the head are errors that leave the receiver untouched.
+func TestSummaryRejectsBadHead(t *testing.T) {
+	res := filled(t)
+	data, _ := res.MarshalBinary()
+	bad := map[string][]byte{
+		"empty":   {},
+		"version": append([]byte{sim.CodecVersion + 1}, data[1:]...),
+	}
+	bare := res
+	bare.GC.Pauses, bare.Threads, bare.Marks, bare.Epochs, bare.Samples, bare.Sampling = nil, nil, nil, nil, nil, nil
+	enc, _ := bare.MarshalBinary()
+	for n := 1; n < len(enc)-8; n++ {
+		bad[fmt.Sprintf("prefix-%d", n)] = enc[:n]
+	}
+	for name, in := range bad {
+		got := res.Summary()
+		if err := got.UnmarshalBinary(in); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if got != res.Summary() {
+			t.Errorf("%s: failed decode modified the receiver", name)
+		}
+	}
+}
+
+// FuzzResultDecode feeds arbitrary bytes to both decoders: neither may
+// panic, the head decoder must accept whatever the full decoder accepts and
+// agree with it, and any input the full decoder accepts must re-encode to
+// bytes that decode to the same value and re-encode identically. Its seeds
+// are the corpus under testdata/fuzz/FuzzResultDecode: a valid small
+// encoding, a truncated one, a wrong version and a huge count.
 func FuzzResultDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var head sim.Summary
+		headErr := head.UnmarshalBinary(data)
 		var r sim.Result
 		if r.UnmarshalBinary(data) != nil {
 			return
+		}
+		if headErr != nil {
+			t.Fatalf("head rejected an input the full decoder accepts: %v", headErr)
+		}
+		if head != r.Summary() {
+			t.Fatalf("head %+v, full decode's summary %+v", head, r.Summary())
 		}
 		enc, err := r.MarshalBinary()
 		if err != nil {

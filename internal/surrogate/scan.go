@@ -27,14 +27,14 @@ func Scan(st *simcache.Store) ([]Sample, error) {
 		if m.Kind != KindTruth || m.Config.Sampling.Enabled || m.Config.Freq <= 0 {
 			continue
 		}
-		var res sim.Result
-		if !st.Get(k, &res) {
+		var head sim.Summary // the time is all a sample needs
+		if !st.Get(k, &head) {
 			continue
 		}
-		if res.Time < 0 {
+		if head.Time < 0 {
 			continue
 		}
-		samples = append(samples, Sample{Config: m.Config, Spec: m.Spec, Time: res.Time})
+		samples = append(samples, Sample{Config: m.Config, Spec: m.Spec, Time: head.Time})
 	}
 	return samples, nil
 }
