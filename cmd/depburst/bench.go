@@ -260,8 +260,8 @@ func cmdBench(args []string, workers int) {
 			predSecs := predDur.Seconds() / float64(reps*len(samples))
 			doc.SurrogatePredictUs = 1e6 * predSecs
 			doc.SurrogateHitRate = float64(hits) / float64(len(samples))
-			high, _ := surrogateHoldout(samples)
-			doc.SurrogateHoldoutErr = report.MeanAbs(high)
+			cleared, _ := surrogateHoldout(samples)
+			doc.SurrogateHoldoutErr = report.MeanAbs(cleared)
 			doc.SurrogateSpeedup = (corpusColdSeconds / float64(corpusSims)) / predSecs
 			fmt.Fprintf(os.Stderr, "bench: surrogate: %d groups, train %.2fs, predict %.1fus (%.0fx over cold sim), hit rate %.0f%%, held-out err %s\n",
 				doc.SurrogateGroups, trainDur.Seconds(), doc.SurrogatePredictUs,

@@ -157,19 +157,17 @@ commands:
                     fail below the minimum cold-run speedup (CI job)
   offline -obs FILE [-target MHz]          predict offline from a recording
   predict -bench NAME [-base MHz] [-target MHz]  all models on one benchmark
-  train [-o FILE] [-prewarm]
-                    fit the learned surrogate from the -cache corpus and
-                    write the model file 'serve -model' loads
   surrogatecheck [-max-err X] [-min-speedup X] [-o FILE]
-                    surrogate accuracy gate: held-out CV over a cold corpus,
-                    confidence calibration, and the tier-0 serving speedup
-                    vs cold full-detail simulation (CI job)
+                    surrogate accuracy gate over a cold corpus: every
+                    held-out sample served within the error bound, no
+                    answers for held-out benchmarks, and the tier-0 serving
+                    speedup vs cold full-detail simulation (CI job)
   serve [-addr HOST:PORT] [-max-queue N] [-request-workers N] [-timeout D]
-        [-step MHz] [-suite FILE] [-model FILE] [-surrogate]
-        [-surrogate-conf X]
+        [-step MHz] [-suite FILE] [-surrogate]
                     prediction-as-a-service HTTP API (see README "Serving");
-                    honours the global -j and -cache flags; -model/-surrogate
-                    enable the learned tier-0 fast path
+                    honours the global -j and -cache flags; -surrogate
+                    trains the tier-0 fast path at boot from the -cache
+                    corpus
   loadtest [-addr HOST:PORT] [-rps N] [-duration D] [-bench NAME]
            [-p99-ms MS] [-o FILE]
                     drive a running server and assert p99 + zero 5xx;
@@ -360,8 +358,6 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 		cmdDoctor()
 	case "samplecheck":
 		cmdSampleCheck(args, workers)
-	case "train":
-		cmdTrain(r, args)
 	case "surrogatecheck":
 		cmdSurrogateCheck(args, workers)
 	case "offline":

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -33,9 +32,7 @@ func cmdServe(r *experiments.Runner, args []string) {
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-request deadline (0 disables)")
 	step := fs.Int("step", 500, "fig7 static-sweep step in MHz (requests may override with ?step=)")
 	suite := fs.String("suite", "", "custom suite JSON replacing the stock benchmarks (see 'depburst suite')")
-	modelFile := fs.String("model", "", "serve the learned surrogate tier from this model file (see 'depburst train')")
-	trainBoot := fs.Bool("surrogate", false, "train the surrogate tier at boot from the -cache corpus (empty corpus: starts cold, learns online from fallback truths)")
-	surConf := fs.Float64("surrogate-conf", 0, "confidence the surrogate needs to answer a request (0 = library default)")
+	tier0 := fs.Bool("surrogate", false, "serve the surrogate tier, trained at boot from the -cache corpus (empty corpus: starts cold, learns online from fallback truths)")
 	fs.Parse(args)
 
 	if *suite != "" {
@@ -47,25 +44,25 @@ func cmdServe(r *experiments.Runner, args []string) {
 		r.SetSuite(specs)
 	}
 
-	model, err := loadModel(r, *modelFile, *trainBoot, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if model != nil {
+	var model *surrogate.Model
+	if *tier0 {
+		var err error
+		if model, err = loadModel(r); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		sum := model.Summarize()
 		fmt.Printf("depburst serve: surrogate tier on (%d samples, %d groups)\n", sum.Points, sum.Groups)
 	}
 
 	srv, err := server.New(server.Config{
-		Runner:           r,
-		Workers:          *workers,
-		MaxQueue:         *maxQueue,
-		Timeout:          *timeout,
-		Step:             units.Freq(*step),
-		Metrics:          metrics.NewServerRegistry(),
-		Surrogate:        model,
-		SurrogateMinConf: *surConf,
+		Runner:    r,
+		Workers:   *workers,
+		MaxQueue:  *maxQueue,
+		Timeout:   *timeout,
+		Step:      units.Freq(*step),
+		Metrics:   metrics.NewServerRegistry(),
+		Surrogate: model,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -87,37 +84,18 @@ func cmdServe(r *experiments.Runner, args []string) {
 	fmt.Println("depburst serve: drained, bye")
 }
 
-// loadModel builds the surrogate tier serve's flags ask for: the model in
-// modelFile, or with trainBoot one trained from r's disk-cache corpus (an
-// empty corpus gives an untrained model that learns online), or nil for no
-// tier. A model file that cannot be read is an error; one that does not
-// decode degrades to serving without the tier, with the reason on stderr.
-func loadModel(r *experiments.Runner, modelFile string, trainBoot bool, stderr io.Writer) (*surrogate.Model, error) {
-	switch {
-	case modelFile != "":
-		raw, err := os.ReadFile(modelFile)
-		if err != nil {
+// loadModel trains the surrogate tier from r's disk-cache corpus. Without
+// a cache, or with one that holds no full-detail truths, the model starts
+// empty and learns online from the truths the slower tiers compute.
+func loadModel(r *experiments.Runner) (*surrogate.Model, error) {
+	var samples []surrogate.Sample
+	if st := r.DiskCache(); st != nil {
+		var err error
+		if samples, err = surrogate.Scan(st); err != nil {
 			return nil, err
 		}
-		m, err := surrogate.Decode(raw)
-		if err != nil {
-			fmt.Fprintf(stderr, "depburst serve: serving without the surrogate tier: %s: %v\n", modelFile, err)
-			return nil, nil
-		}
-		return m, nil
-	case trainBoot:
-		if st := r.DiskCache(); st != nil {
-			samples, err := surrogate.Scan(st)
-			if err != nil {
-				return nil, err
-			}
-			if len(samples) > 0 {
-				return surrogate.Train(samples), nil
-			}
-		}
-		return surrogate.NewModel(), nil
 	}
-	return nil, nil
+	return surrogate.Train(samples), nil
 }
 
 // cmdLoadtest drives a running server and asserts the latency/error

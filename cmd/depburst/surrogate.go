@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"depburst/internal/dacapo"
@@ -20,78 +20,42 @@ import (
 	"depburst/internal/surrogate"
 )
 
-// cmdTrain fits the surrogate fast path from the persistent cache's truth
-// corpus and writes the model file `depburst serve -model` loads. The
-// global -cache flag names the corpus; -prewarm populates it first.
-func cmdTrain(r *experiments.Runner, args []string) {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	out := fs.String("o", "surrogate.dbsg", "output model file")
-	prewarm := fs.Bool("prewarm", false, "populate the corpus first: simulate the suite at every evaluation frequency into the cache")
-	fs.Parse(args)
-
-	st := r.DiskCache()
-	if st == nil {
-		fmt.Fprintln(os.Stderr, "train: the surrogate trains on a cached corpus; name one with -cache DIR (or DEPBURST_CACHE)")
-		os.Exit(1)
-	}
-	if *prewarm {
-		r.Prewarm(r.Suite(), experiments.EvalFreqs...)
-	}
-	samples, err := surrogate.Scan(st)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if len(samples) == 0 {
-		fmt.Fprintln(os.Stderr, "train: the cache holds no full-detail truth runs; run experiments through it first (or pass -prewarm)")
-		os.Exit(1)
-	}
-	m := surrogate.Train(samples)
-	if err := m.WriteFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	sum := m.Summarize()
-	fmt.Printf("trained on %d samples: %d groups, gamma %.3f, cv err interp %s / extrap %s / knn %s -> %s\n",
-		sum.Points, sum.Groups, sum.Gamma,
-		report.PctAbs(sum.InterpErr), report.PctAbs(sum.ExtrapErr), report.PctAbs(sum.KNNErr), *out)
-}
-
 // surrogateCheckDoc is the machine-readable surrogatecheck report.
 type surrogateCheckDoc struct {
-	Schema      string  `json:"schema"` // "depburst-surrogatecheck/1"
-	Samples     int     `json:"samples"`
-	Groups      int     `json:"groups"`
-	HighCount   int     `json:"high_count"`
-	HighMeanAbs float64 `json:"high_mean_abs"`
-	LowCount    int     `json:"low_count"`
-	LowMeanAbs  float64 `json:"low_mean_abs"`
-	MaxErr      float64 `json:"max_err"`
-	ColdSimMs   float64 `json:"cold_sim_ms"`
-	SurrogateUs float64 `json:"surrogate_us"`
-	Speedup     float64 `json:"speedup"`
-	MinSpeedup  float64 `json:"min_speedup"`
-	ServedTier0 int     `json:"served_tier0"`
-	FellThrough int     `json:"fell_through"`
-	Pass        bool    `json:"pass"`
+	Schema  string `json:"schema"` // "depburst-surrogatecheck/2"
+	Samples int    `json:"samples"`
+	Groups  int    `json:"groups"`
+	// Leave-one-sample-out estimates that clear the serving gate, and
+	// their mean-abs error.
+	SampleCleared int     `json:"sample_cleared"`
+	SampleMeanAbs float64 `json:"sample_mean_abs"`
+	MaxErr        float64 `json:"max_err"`
+	// Leave-one-benchmark-out estimates of any confidence.
+	BenchAnswers int     `json:"bench_answers"`
+	ColdSimMs    float64 `json:"cold_sim_ms"`
+	SurrogateUs  float64 `json:"surrogate_us"`
+	Speedup      float64 `json:"speedup"`
+	MinSpeedup   float64 `json:"min_speedup"`
+	ServedTier0  int     `json:"served_tier0"`
+	FellThrough  int     `json:"fell_through"`
+	Pass         bool    `json:"pass"`
 }
 
-// cmdSurrogateCheck is the learned fast path's accuracy, calibration and
-// speed gate (CI's surrogate-accuracy job):
+// cmdSurrogateCheck is the surrogate tier's accuracy and speed gate (CI's
+// surrogate-accuracy job):
 //
 //   - held-out accuracy: every corpus sample predicted by a model trained
-//     without it; the high-confidence bucket's mean-abs error must clear
+//     without it must clear the serving gate, with mean-abs error within
 //     -max-err,
-//   - calibration: the low-confidence bucket (dominated by whole-benchmark
-//     holdouts, where only cross-workload transfer is available) must be
-//     WORSE than the high-confidence bucket — confidence has to mean
-//     something, and
+//   - no transfer: a benchmark predicted by a model trained without any
+//     of its samples must get no estimate at all — tier 0 answers only
+//     for configurations the corpus has simulated, and
 //   - speed: the in-process /v1/predict round-trip served from the trained
 //     model must beat the mean cold full-detail simulation by -min-speedup,
 //     with every request actually answered at tier 0.
 func cmdSurrogateCheck(args []string, workers int) {
 	fs := flag.NewFlagSet("surrogatecheck", flag.ExitOnError)
-	maxErr := fs.Float64("max-err", 0.05, "fail when the high-confidence held-out mean-abs error exceeds this")
+	maxErr := fs.Float64("max-err", 0.05, "fail when the held-out mean-abs error exceeds this")
 	minSpeedup := fs.Float64("min-speedup", 100, "fail below this surrogate-vs-cold-simulation speedup")
 	out := fs.String("o", "", "also write the machine-readable report (JSON) to FILE")
 	fs.Parse(args)
@@ -135,20 +99,18 @@ func cmdSurrogateCheck(args []string, workers int) {
 		os.Exit(1)
 	}
 
-	high, low := surrogateHoldout(samples)
+	cleared, benchAnswers := surrogateHoldout(samples)
 	model := surrogate.Train(samples)
-	sum := model.Summarize()
 	doc := surrogateCheckDoc{
-		Schema:      "depburst-surrogatecheck/1",
-		Samples:     len(samples),
-		Groups:      sum.Groups,
-		HighCount:   len(high),
-		HighMeanAbs: report.MeanAbs(high),
-		LowCount:    len(low),
-		LowMeanAbs:  report.MeanAbs(low),
-		MaxErr:      *maxErr,
-		ColdSimMs:   1e3 * coldWall.Seconds() / float64(sims),
-		MinSpeedup:  *minSpeedup,
+		Schema:        "depburst-surrogatecheck/2",
+		Samples:       len(samples),
+		Groups:        model.Summarize().Groups,
+		SampleCleared: len(cleared),
+		SampleMeanAbs: report.MeanAbs(cleared),
+		MaxErr:        *maxErr,
+		BenchAnswers:  benchAnswers,
+		ColdSimMs:     1e3 * coldWall.Seconds() / float64(sims),
+		MinSpeedup:    *minSpeedup,
 	}
 
 	// Serve the corpus's own request shape from the trained model through
@@ -198,16 +160,16 @@ func cmdSurrogateCheck(args []string, workers int) {
 	doc.SurrogateUs = 1e6 * served.Seconds() / float64(requests)
 	doc.Speedup = doc.ColdSimMs * 1e3 / doc.SurrogateUs
 
-	calibrated := doc.HighCount > 0 && doc.LowCount > 0 && doc.LowMeanAbs > doc.HighMeanAbs
-	doc.Pass = doc.HighMeanAbs <= *maxErr && calibrated &&
+	accurate := doc.SampleCleared == doc.Samples && doc.SampleMeanAbs <= *maxErr
+	doc.Pass = accurate && doc.BenchAnswers == 0 &&
 		doc.Speedup >= *minSpeedup && doc.FellThrough == 0 && backing.Simulations() == 0
 
 	t := &report.Table{
 		Title:  fmt.Sprintf("surrogatecheck: %d samples over %d groups (cold corpus %.1fs, %d sims)", doc.Samples, doc.Groups, coldWall.Seconds(), sims),
-		Header: []string{"bucket", "estimates", "mean-abs err", "gate"},
+		Header: []string{"held out", "cleared gate", "mean-abs err", "gate"},
 	}
-	t.AddRow("high confidence", fmt.Sprintf("%d", doc.HighCount), report.PctAbs(doc.HighMeanAbs), fmt.Sprintf("<= %s", report.PctAbs(*maxErr)))
-	t.AddRow("low confidence", fmt.Sprintf("%d", doc.LowCount), report.PctAbs(doc.LowMeanAbs), "> high bucket")
+	t.AddRow("one sample", fmt.Sprintf("%d/%d", doc.SampleCleared, doc.Samples), report.PctAbs(doc.SampleMeanAbs), fmt.Sprintf("all, <= %s", report.PctAbs(*maxErr)))
+	t.AddRow("one benchmark", fmt.Sprintf("%d answered", doc.BenchAnswers), "-", "none answered")
 	emit(t)
 	fmt.Printf("serving: %d/%d requests at tier 0, mean %.0fus vs %.1fms cold sim = %.0fx (min %.0fx)\n",
 		doc.ServedTier0, requests, doc.SurrogateUs, doc.ColdSimMs, doc.Speedup, *minSpeedup)
@@ -221,11 +183,12 @@ func cmdSurrogateCheck(args []string, workers int) {
 		fmt.Printf("report -> %s\n", *out)
 	}
 	switch {
-	case doc.HighMeanAbs > *maxErr:
-		fmt.Printf("surrogatecheck: FAILED (high-confidence held-out error %s exceeds %s)\n", report.PctAbs(doc.HighMeanAbs), report.PctAbs(*maxErr))
+	case !accurate:
+		fmt.Printf("surrogatecheck: FAILED (%d/%d held-out samples cleared the gate, mean-abs error %s, limit %s)\n",
+			doc.SampleCleared, doc.Samples, report.PctAbs(doc.SampleMeanAbs), report.PctAbs(*maxErr))
 		os.Exit(1)
-	case !calibrated:
-		fmt.Println("surrogatecheck: FAILED (confidence is not calibrated: low bucket not worse than high)")
+	case doc.BenchAnswers > 0:
+		fmt.Printf("surrogatecheck: FAILED (%d estimates for benchmarks outside the corpus)\n", doc.BenchAnswers)
 		os.Exit(1)
 	case doc.FellThrough > 0 || backing.Simulations() != 0:
 		fmt.Printf("surrogatecheck: FAILED (%d requests fell through to simulation)\n", doc.FellThrough)
@@ -238,53 +201,44 @@ func cmdSurrogateCheck(args []string, workers int) {
 }
 
 // surrogateHoldout cross-validates the corpus the way the serving tier is
-// used. Two folds: every sample predicted by a model trained without it
-// (the within-group law path stays available), and every benchmark
-// predicted by a model trained without any of its samples (only
-// cross-workload transfer remains). Estimates are bucketed by whether
-// their confidence clears the serving gate; the slices hold the buckets'
-// signed relative errors.
-func surrogateHoldout(samples []surrogate.Sample) (high, low []float64) {
-	bucket := func(m *surrogate.Model, s surrogate.Sample) {
-		est, ok := m.Predict(s.Config, s.Spec)
-		if !ok || s.Time <= 0 {
-			return
-		}
-		e := report.RelError(float64(est.Time), float64(s.Time))
-		if est.Confidence >= surrogate.DefaultMinConfidence {
-			high = append(high, e)
-		} else {
-			low = append(low, e)
-		}
-	}
+// used, in two folds. Every sample is predicted by a model trained without
+// it; cleared holds the signed relative errors of the estimates that clear
+// the serving gate. Every benchmark is predicted by a model trained
+// without any of its samples; benchAnswers counts the estimates that fold
+// gets, of any confidence.
+func surrogateHoldout(samples []surrogate.Sample) (cleared []float64, benchAnswers int) {
 	for i, s := range samples {
 		rest := make([]surrogate.Sample, 0, len(samples)-1)
 		rest = append(rest, samples[:i]...)
 		rest = append(rest, samples[i+1:]...)
-		bucket(surrogate.Train(rest), s)
+		est, ok := surrogate.Train(rest).Predict(s.Config, s.Spec)
+		if ok && est.Confidence >= surrogate.DefaultMinConfidence {
+			cleared = append(cleared, report.RelError(float64(est.Time), float64(s.Time)))
+		}
 	}
-	byBench := map[string][]surrogate.Sample{}
+	var benches []string
 	for _, s := range samples {
-		byBench[s.Spec.Name] = append(byBench[s.Spec.Name], s)
+		if !slices.Contains(benches, s.Spec.Name) {
+			benches = append(benches, s.Spec.Name)
+		}
 	}
-	benches := make([]string, 0, len(byBench))
-	for b := range byBench {
-		benches = append(benches, b)
-	}
-	sort.Strings(benches)
 	for _, b := range benches {
-		rest := make([]surrogate.Sample, 0, len(samples))
+		var rest, held []surrogate.Sample
 		for _, s := range samples {
-			if s.Spec.Name != b {
+			if s.Spec.Name == b {
+				held = append(held, s)
+			} else {
 				rest = append(rest, s)
 			}
 		}
 		m := surrogate.Train(rest)
-		for _, s := range byBench[b] {
-			bucket(m, s)
+		for _, s := range held {
+			if _, ok := m.Predict(s.Config, s.Spec); ok {
+				benchAnswers++
+			}
 		}
 	}
-	return high, low
+	return cleared, benchAnswers
 }
 
 // memResponse is a minimal in-process http.ResponseWriter for driving the

@@ -183,3 +183,23 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// TestTruthTimeMonotoneInFrequency is a metamorphic check on the whole
+// simulator: raising the clock never lengthens a stock benchmark's run.
+// The surrogate's law is monotone by construction, so tier 0 is only
+// right where this holds.
+func TestTruthTimeMonotoneInFrequency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long integration experiment")
+	}
+	sharedRunner.Prewarm(dacapo.Suite(), EvalFreqs...)
+	for _, spec := range dacapo.Suite() {
+		for i := 1; i < len(EvalFreqs); i++ {
+			lo := sharedRunner.TruthSummary(spec, EvalFreqs[i-1]).Time
+			hi := sharedRunner.TruthSummary(spec, EvalFreqs[i]).Time
+			if hi > lo {
+				t.Errorf("%s: %v at %v but %v at %v", spec.Name, lo, EvalFreqs[i-1], hi, EvalFreqs[i])
+			}
+		}
+	}
+}

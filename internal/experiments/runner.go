@@ -445,12 +445,19 @@ func (r *Runner) putTruthMeta(key string, j job) {
 	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(j.cfg, b.Spec))
 }
 
-// truthJob is the measured run of spec at frequency f.
-func (r *Runner) truthJob(spec dacapo.Spec, f units.Freq) job {
+// TruthConfig is the configuration Truth simulates spec at frequency f
+// under: the machine template, sampling policy included, at f with the
+// spec's workload knobs applied.
+func (r *Runner) TruthConfig(spec dacapo.Spec, f units.Freq) sim.Config {
 	cfg := r.Base
 	cfg.Freq = f
 	spec.Configure(&cfg)
-	return job{kind: "truth", cfg: cfg, w: dacapo.New(spec), extra: []any{spec}}
+	return cfg
+}
+
+// truthJob is the measured run of spec at frequency f.
+func (r *Runner) truthJob(spec dacapo.Spec, f units.Freq) job {
+	return job{kind: "truth", cfg: r.TruthConfig(spec, f), w: dacapo.New(spec), extra: []any{spec}}
 }
 
 // Truth returns the measured run of spec at frequency f. The run is

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,10 +48,7 @@ func TestTruthManifestsScannable(t *testing.T) {
 	}
 	// The trained model reproduces the simulated truth it was fit on.
 	truth := r.Truth(spec, 2000)
-	cfg := r.Base
-	cfg.Freq = 2000
-	spec.Configure(&cfg)
-	est, ok := m.Predict(cfg, spec)
+	est, ok := m.Predict(r.TruthConfig(spec, 2000), spec)
 	if !ok {
 		t.Fatal("model cannot answer for its own corpus")
 	}
@@ -106,8 +102,8 @@ func TestTruthManifestsScannable(t *testing.T) {
 }
 
 // TestSurrogateRetrainDeterminism is the satellite property: corpora built
-// at -j1 and -j8 scan and train into byte-identical model files, and
-// retraining from the same corpus is byte-identical too.
+// at -j1 and -j8 scan and train into identical models, and retraining from
+// the same corpus is identical too.
 func TestSurrogateRetrainDeterminism(t *testing.T) {
 	spec, err := dacapo.ByName("pmd.scale")
 	if err != nil {
@@ -118,7 +114,7 @@ func TestSurrogateRetrainDeterminism(t *testing.T) {
 	suite := []dacapo.Spec{spec, b}
 	freqs := []units.Freq{1000, 2000}
 
-	encode := func(workers int) []byte {
+	train := func(workers int) *surrogate.Model {
 		st, err := simcache.Open(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -128,20 +124,15 @@ func TestSurrogateRetrainDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := surrogate.Train(samples).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+		return surrogate.Train(samples)
 	}
 
-	j1 := encode(1)
-	j8 := encode(8)
-	if !bytes.Equal(j1, j8) {
-		t.Error("-j1 and -j8 corpora trained different model bytes")
+	j1 := train(1)
+	if !reflect.DeepEqual(j1, train(8)) {
+		t.Error("-j1 and -j8 corpora trained different models")
 	}
-	if again := encode(1); !bytes.Equal(j1, again) {
-		t.Error("retraining from an identically-built corpus changed the model bytes")
+	if !reflect.DeepEqual(j1, train(1)) {
+		t.Error("retraining from an identically-built corpus changed the model")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"depburst/internal/report"
 	"depburst/internal/sampling"
 	"depburst/internal/sim"
+	"depburst/internal/surrogate"
 	"depburst/internal/units"
 )
 
@@ -360,16 +361,6 @@ func (s *Server) leadPredict(ctx context.Context, key string, f *flight, req *Pr
 	}
 }
 
-// surrogateConfig builds the simulator configuration the surrogate indexes
-// truth runs by: the Runner's machine template at frequency f with the
-// spec's workload knobs applied — exactly what TruthCtx simulates.
-func (s *Server) surrogateConfig(spec dacapo.Spec, f units.Freq) sim.Config {
-	cfg := s.cfg.Runner.Base
-	cfg.Freq = f
-	spec.Configure(&cfg)
-	return cfg
-}
-
 // trySurrogate attempts to serve the request from the learned fast path,
 // with one model lookup for the base and every target. It answers only
 // when every frequency the response covers clears the confidence gate;
@@ -391,7 +382,7 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 	for _, tgt := range req.TargetsMHz {
 		freqs = append(freqs, units.Freq(tgt))
 	}
-	ests, ok := m.PredictFreqs(s.surrogateConfig(spec, freqs[0]), spec, freqs)
+	ests, ok := m.PredictFreqs(s.cfg.Runner.TruthConfig(spec, freqs[0]), spec, freqs)
 	if !ok {
 		return nil, false
 	}
@@ -404,7 +395,7 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 		Surrogate:  &PredictSurrogate{Confidence: base.Confidence, ErrEstimate: base.ErrEstimate},
 	}
 	for i, est := range ests {
-		if est.Confidence < s.cfg.SurrogateMinConf {
+		if est.Confidence < surrogate.DefaultMinConfidence {
 			return nil, false
 		}
 		if est.Confidence < resp.Surrogate.Confidence {
@@ -430,16 +421,15 @@ func (s *Server) trySurrogate(req *PredictRequest, spec dacapo.Spec) ([]byte, bo
 	return buf.Bytes(), true
 }
 
-// observeTruth feeds one full-detail truth result back into the surrogate:
+// observeTruth feeds one truth result r computed back into the surrogate:
 // every fallback the slower tiers compute makes the fast path answer more
-// of the neighbourhood next time. Sampled results never train the model —
-// their times carry a machine-reported error bound the surrogate's
-// calibration does not account for.
-func (s *Server) observeTruth(req *PredictRequest, spec dacapo.Spec, f units.Freq, t units.Time) {
-	if s.cfg.Surrogate == nil || req.Sampling != nil {
-		return
+// of the neighbourhood next time. It passes the configuration r actually
+// simulated, so the model itself refuses sampled results, whether the
+// request or the Runner chose sampling.
+func (s *Server) observeTruth(r *experiments.Runner, spec dacapo.Spec, f units.Freq, t units.Time) {
+	if s.cfg.Surrogate != nil {
+		s.cfg.Surrogate.Observe(r.TruthConfig(spec, f), spec, t)
 	}
-	s.cfg.Surrogate.Observe(s.surrogateConfig(spec, f), spec, t)
 }
 
 // computePredict runs the base (and, with actual set, target) simulations
@@ -459,7 +449,7 @@ func (s *Server) computePredict(ctx context.Context, req *PredictRequest, spec d
 	if err != nil {
 		return nil, err
 	}
-	s.observeTruth(req, spec, units.Freq(req.BaseMHz), base.Time)
+	s.observeTruth(r, spec, units.Freq(req.BaseMHz), base.Time)
 	obs := experiments.Observe(base)
 
 	resp := PredictResponse{
@@ -476,7 +466,7 @@ func (s *Server) computePredict(ctx context.Context, req *PredictRequest, spec d
 			if truths[i], err = r.TruthCtx(ctx, spec, units.Freq(tgt)); err != nil {
 				return nil, err
 			}
-			s.observeTruth(req, spec, units.Freq(tgt), truths[i].Time)
+			s.observeTruth(r, spec, units.Freq(tgt), truths[i].Time)
 		}
 	}
 	var agg samplingAgg

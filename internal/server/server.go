@@ -81,13 +81,10 @@ type Config struct {
 	// Surrogate, when set, serves eligible predict requests from the
 	// learned fast path (tier 0) before any simulation is scheduled, and
 	// absorbs every full-detail truth the slower tiers compute (see
-	// DESIGN.md "Tiered serving"). nil disables the tier.
+	// DESIGN.md "Tiered serving"). An estimate answers only when its
+	// confidence reaches surrogate.DefaultMinConfidence. nil disables the
+	// tier.
 	Surrogate *surrogate.Model
-
-	// SurrogateMinConf is the confidence a surrogate estimate must reach
-	// to answer a request; anything lower falls through to the Runner
-	// (default surrogate.DefaultMinConfidence).
-	SurrogateMinConf float64
 }
 
 // Server is the HTTP layer. Construct with New, run with Serve.
@@ -126,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = 500
-	}
-	if cfg.SurrogateMinConf <= 0 {
-		cfg.SurrogateMinConf = surrogate.DefaultMinConfidence
 	}
 	s := &Server{
 		cfg: cfg,

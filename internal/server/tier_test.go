@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"depburst/internal/experiments"
+	"depburst/internal/sampling"
 	"depburst/internal/simcache"
 	"depburst/internal/surrogate"
 	"depburst/internal/units"
@@ -59,7 +60,7 @@ func TestSurrogateTierServes(t *testing.T) {
 	if resp.Tier != TierSurrogate {
 		t.Fatalf("tier = %q, want %q", resp.Tier, TierSurrogate)
 	}
-	if resp.Surrogate == nil || resp.Surrogate.Confidence < DefaultMinConfidenceForTest() ||
+	if resp.Surrogate == nil || resp.Surrogate.Confidence < surrogate.DefaultMinConfidence ||
 		resp.Surrogate.ErrEstimate <= 0 {
 		t.Fatalf("surrogate annotation missing or weak: %+v", resp.Surrogate)
 	}
@@ -93,20 +94,16 @@ func relDiff(got, want float64) float64 {
 	return d
 }
 
-// DefaultMinConfidenceForTest re-exports the serving threshold so the test
-// reads as the contract it checks.
-func DefaultMinConfidenceForTest() float64 { return surrogate.DefaultMinConfidence }
-
 // TestSurrogateFallbackByteIdentical: when the confidence gate refuses the
 // fast path, the fallback response must be byte-identical to what a
 // surrogate-less server produces — clients cannot tell the tiers apart
-// except by the additive annotation's presence.
+// except by the additive annotation's presence. A corpus of two
+// frequencies per group cannot cross-validate extrapolation, so it keeps
+// the default 5% error (confidence 0.714): the in-band target clears the
+// gate, the out-of-band one does not, and the whole request falls through.
 func TestSurrogateFallbackByteIdentical(t *testing.T) {
-	model, _ := trainedSurrogate(t, 1000, 2000, 3000, 4000)
-	gated, gr := newTestServer(t, func(c *Config) {
-		c.Surrogate = model
-		c.SurrogateMinConf = 0.999 // above any attainable confidence
-	})
+	model, _ := trainedSurrogate(t, 1000, 2000)
+	gated, gr := newTestServer(t, func(c *Config) { c.Surrogate = model })
 	plain, _ := newTestServer(t, nil)
 
 	body := `{"bench":"pmd.scale","base_mhz":1000,"targets_mhz":[2000,3000]}`
@@ -222,6 +219,27 @@ func TestSurrogateFeedbackFlipsTier(t *testing.T) {
 			t.Errorf("target %d MHz: surrogate %.0f vs absorbed truth %d (rel %.4f)",
 				p.TargetMHz, float64(p.PredictedPS), truth.Predictions[i].ActualPS, re)
 		}
+	}
+}
+
+// TestSurrogateSampledRunnerNeverTrains: on a server whose Runner samples
+// every simulation, no truth reaches the model, so a repeated request is
+// never answered from sampled evidence.
+func TestSurrogateSampledRunnerNeverTrains(t *testing.T) {
+	model := surrogate.NewModel()
+	s, _ := newTestServer(t, func(c *Config) {
+		c.Runner.SetSampling(sampling.DefaultPolicy())
+		c.Surrogate = model
+	})
+	if w := post(t, s, "/v1/predict", `{"bench":"pmd.scale","base_mhz":1000,"targets_mhz":[2000,4000],"actual":true}`); w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if sum := model.Summarize(); sum.Points != 0 {
+		t.Fatalf("sampled truths trained the model: %+v", sum)
+	}
+	w := post(t, s, "/v1/predict", `{"bench":"pmd.scale","base_mhz":1000,"targets_mhz":[2000,4000]}`)
+	if w.Code != http.StatusOK || bytes.Contains(w.Body.Bytes(), []byte(`"tier"`)) {
+		t.Fatalf("repeat request answered from sampled evidence: %d %s", w.Code, w.Body)
 	}
 }
 

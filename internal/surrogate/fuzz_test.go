@@ -7,56 +7,55 @@ import (
 	"depburst/internal/dacapo"
 )
 
-// FuzzSurrogateDecode throws arbitrary bytes at the fast path's two
-// untrusted input surfaces: the model-file decoder and the manifest
-// payload the corpus scanner json-decodes out of each sidecar (the framing
-// around it is simcache's checkEntry, exercised by its corruption wall).
-// Malformation must degrade to a clean error or an ignored sample — never
-// a panic — and a model that does decode must survive prediction,
-// observation and re-encoding. The on-disk skip-and-continue behaviour of
-// Scan itself is covered by TestScanCorpus.
+// FuzzSurrogateDecode throws arbitrary bytes at the surrogate's untrusted
+// input surface: the manifest the corpus scanner json-decodes out of each
+// sidecar (the framing around it is simcache's checkEntry, exercised by
+// its corruption wall). Whatever decodes is fed through the whole training
+// surface, which must absorb or reject it without panicking, and a sampled
+// manifest must never train the model. The checked-in corpus keeps byte
+// strings that are not manifests at all, so the rejection path stays
+// covered. The on-disk skip-and-continue behaviour of Scan itself is
+// covered by TestScanCorpus.
 func FuzzSurrogateDecode(f *testing.F) {
 	spec := dacapo.PMDScale()
-	valid, err := Train(synthSamples([]dacapo.Spec{spec, dacapo.Xalan()}, trainFreqs)).Encode()
-	if err != nil {
-		f.Fatal(err)
+	manifest := func(mutate func(*Manifest)) []byte {
+		m := NewTruthManifest(synthConfig(spec, 1000), spec)
+		if mutate != nil {
+			mutate(&m)
+		}
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
 	}
-	manifest, err := json.Marshal(NewTruthManifest(synthConfig(spec, 1000), spec))
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := manifest(nil)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:fileHeaderSize])
-	f.Add([]byte("DBSG"))
-	f.Add(manifest)
+	f.Add(manifest(func(m *Manifest) { m.Config.Sampling.Enabled = true }))
+	f.Add(manifest(func(m *Manifest) { m.Config.Freq = 0 }))
+	f.Add(manifest(func(m *Manifest) { m.Spec.Threads = 0 }))
 	f.Add([]byte(`{"kind":"truth","spec":{"Name":"pmd"}}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := Decode(data); err == nil {
-			cfg := synthConfig(spec, 2000)
-			if _, ok := m.Predict(cfg, spec); ok {
-				m.Observe(synthConfig(spec, 1500), spec, 42)
-			}
-			if _, err := m.Encode(); err != nil {
-				t.Fatalf("decoded model failed to re-encode: %v", err)
-			}
-		}
-
 		var man Manifest
 		if err := json.Unmarshal(data, &man); err != nil {
 			return
 		}
-		// Whatever decoded is fed through the whole training surface; the
-		// model must absorb or reject it without panicking.
+		cfg, sp := man.Config, man.Spec
 		man.GroupID()
-		man.features()
-		man.perThreadWork()
 		m := NewModel()
-		m.Observe(man.Config, man.Spec, 7)
-		m.Observe(man.Config, man.Spec, 7)
-		m.Predict(man.Config, man.Spec)
-		Train([]Sample{{Config: man.Config, Spec: man.Spec, Time: 7}})
+		m.Observe(cfg, sp, 7)
+		m.Observe(cfg, sp, 7)
+		if sum := m.Summarize(); sum.Points > 1 || (cfg.Sampling.Enabled && sum.Points != 0) {
+			t.Fatalf("two identical observations of %+v left %+v", cfg, sum)
+		}
+		cfg.Freq *= 2
+		m.Observe(cfg, sp, 5)
+		if est, ok := m.Predict(cfg, sp); ok && est.Time < 0 {
+			t.Fatalf("negative estimate %+v", est)
+		}
+		Train([]Sample{{Config: man.Config, Spec: sp, Time: 7}, {Config: cfg, Spec: sp, Time: 5}})
 	})
 }

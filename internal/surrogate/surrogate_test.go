@@ -1,14 +1,10 @@
 package surrogate
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
+	"reflect"
 	"testing"
 
 	"depburst/internal/dacapo"
@@ -85,47 +81,42 @@ func TestPredictSourcesAndCalibration(t *testing.T) {
 	if !ok || extrap.Source != SourceExtrap {
 		t.Fatalf("out-of-band prediction: ok=%v source=%q", ok, extrap.Source)
 	}
+	// The synthetic truth is the law itself, so cross-validation measures
+	// no error and both sources sit at their floors.
+	if interp.ErrEstimate != floorInterpErr || extrap.ErrEstimate != floorExtrapErr {
+		t.Errorf("error estimates %v/%v, want the floors %v/%v", interp.ErrEstimate, extrap.ErrEstimate, floorInterpErr, floorExtrapErr)
+	}
+	if interp.Confidence <= extrap.Confidence {
+		t.Errorf("confidences not ordered: interp %v, extrap %v", interp.Confidence, extrap.Confidence)
+	}
 
 	held := suite[6]
-	knn, ok := m.Predict(synthConfig(held, 2000), held)
-	if !ok || knn.Source != SourceKNN {
-		t.Fatalf("held-out prediction: ok=%v source=%q", ok, knn.Source)
-	}
-	if knn.Confidence >= DefaultMinConfidence {
-		t.Errorf("cross-workload transfer confidence %.3f reached the serving band", knn.Confidence)
-	}
-
-	// The trust ladder: reported error grows, confidence shrinks.
-	if !(interp.ErrEstimate <= extrap.ErrEstimate && extrap.ErrEstimate < knn.ErrEstimate) {
-		t.Errorf("error estimates not ordered: %v %v %v", interp.ErrEstimate, extrap.ErrEstimate, knn.ErrEstimate)
-	}
-	if !(interp.Confidence >= extrap.Confidence && extrap.Confidence > knn.Confidence) {
-		t.Errorf("confidences not ordered: %v %v %v", interp.Confidence, extrap.Confidence, knn.Confidence)
+	if est, ok := m.Predict(synthConfig(held, 2000), held); ok {
+		t.Errorf("a benchmark outside the corpus was answered: %+v", est)
 	}
 }
 
+// TestPredictScaleSource: a group observed at one frequency has no law and
+// nothing corpus-wide to scale it by, so it gets no estimate until a
+// second frequency is observed; then its own law answers.
 func TestPredictScaleSource(t *testing.T) {
 	suite := dacapo.Suite()
-	samples := synthSamples(suite[1:], trainFreqs)
 	single := suite[0]
-	samples = append(samples, Sample{Config: synthConfig(single, 1000), Spec: single, Time: synthTime(single, 1000)})
+	samples := append(synthSamples(suite[1:], trainFreqs),
+		Sample{Config: synthConfig(single, 1000), Spec: single, Time: synthTime(single, 1000)})
 	m := Train(samples)
-
+	for _, f := range []units.Freq{1000, 2000} {
+		if est, ok := m.Predict(synthConfig(single, f), single); ok {
+			t.Errorf("single-point group answered at %v: %+v", f, est)
+		}
+	}
+	m.Observe(synthConfig(single, 3000), single, synthTime(single, 3000))
 	est, ok := m.Predict(synthConfig(single, 2000), single)
-	if !ok || est.Source != SourceScale {
-		t.Fatalf("single-point group: ok=%v source=%q", ok, est.Source)
+	if !ok || est.Source != SourceInterp {
+		t.Fatalf("two-point group: ok=%v source=%q", ok, est.Source)
 	}
-	// γ-scaling must still recover the broad shape: the synthetic truth
-	// drops by less than 2x from 1 GHz to 2 GHz.
-	if e := relErr(float64(est.Time), float64(synthTime(single, 2000))); e > 0.35 {
-		t.Errorf("scale-source error %.3f", e)
-	}
-	at1000, ok := m.Predict(synthConfig(single, 1000), single)
-	if !ok || at1000.Source != SourceScale {
-		t.Fatalf("at observed freq: ok=%v source=%q", ok, at1000.Source)
-	}
-	if got, want := at1000.Time, synthTime(single, 1000); got != want {
-		t.Errorf("scale source at its own frequency: %v, want %v", got, want)
+	if e := relErr(float64(est.Time), float64(synthTime(single, 2000))); e > 1e-6 {
+		t.Errorf("two-point law off the closed form by %.3g", e)
 	}
 }
 
@@ -140,18 +131,14 @@ func TestPredictRejects(t *testing.T) {
 }
 
 // TestPredictFreqsMatchesPredict: the multi-frequency lookup answers each
-// frequency exactly as Predict does on its own — across the group-law,
-// γ-scaling and k-NN sources — and refuses the whole query when any
-// frequency cannot be answered.
+// frequency exactly as Predict does on its own, across both sources, and
+// refuses the whole query when any frequency cannot be answered.
 func TestPredictFreqsMatchesPredict(t *testing.T) {
 	suite := dacapo.Suite()
-	samples := synthSamples(suite[1:5], trainFreqs)
-	single := suite[0]
-	samples = append(samples, Sample{Config: synthConfig(single, 1000), Spec: single, Time: synthTime(single, 1000)})
-	m := Train(samples)
+	m := Train(synthSamples(suite[1:5], trainFreqs))
 	freqs := []units.Freq{500, 1000, 2500, 4000, 5000}
 	sources := map[string]bool{}
-	for _, spec := range []dacapo.Spec{suite[1], single, suite[6]} {
+	for _, spec := range suite[1:5] {
 		got, ok := m.PredictFreqs(synthConfig(spec, 1234), spec, freqs)
 		if !ok || len(got) != len(freqs) {
 			t.Fatalf("%s: ok=%v, %d estimates", spec.Name, ok, len(got))
@@ -164,13 +151,17 @@ func TestPredictFreqsMatchesPredict(t *testing.T) {
 			sources[got[i].Source] = true
 		}
 	}
-	if len(sources) != 4 {
-		t.Errorf("sources covered: %v, want all four", sources)
+	if len(sources) != 2 {
+		t.Errorf("sources covered: %v, want both", sources)
 	}
-	if _, ok := m.PredictFreqs(synthConfig(single, 1000), single, []units.Freq{1000, 0}); ok {
+	known := suite[1]
+	if _, ok := m.PredictFreqs(synthConfig(known, 1000), known, []units.Freq{1000, 0}); ok {
 		t.Error("non-positive frequency answered")
 	}
-	bad := suite[1]
+	if _, ok := m.PredictFreqs(synthConfig(suite[0], 1000), suite[0], freqs); ok {
+		t.Error("unknown group answered")
+	}
+	bad := known
 	bad.IPC = math.NaN()
 	if _, ok := m.PredictFreqs(synthConfig(bad, 1000), bad, freqs); ok {
 		t.Error("unkeyable query answered")
@@ -179,11 +170,8 @@ func TestPredictFreqsMatchesPredict(t *testing.T) {
 
 func TestPredictNonNegativeMonotone(t *testing.T) {
 	suite := dacapo.Suite()
-	m := Train(synthSamples(suite[:5], trainFreqs))
-	// Add a single-point group so the γ path is swept too.
-	m.Observe(synthConfig(suite[5], 1000), suite[5], synthTime(suite[5], 1000))
-
-	for _, spec := range suite { // suite[6] exercises the k-NN path
+	m := Train(synthSamples(suite, trainFreqs))
+	for _, spec := range suite {
 		prev := units.Time(math.MaxInt64)
 		for f := units.Freq(100); f <= 8000; f += 100 {
 			est, ok := m.Predict(synthConfig(spec, f), spec)
@@ -203,136 +191,16 @@ func TestPredictNonNegativeMonotone(t *testing.T) {
 
 func TestTrainingDeterministicAndOrderInvariant(t *testing.T) {
 	samples := synthSamples(dacapo.Suite(), trainFreqs)
-	a, err := Train(samples).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(samples).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	a := Train(samples)
+	if !reflect.DeepEqual(a, Train(samples)) {
 		t.Error("two trainings on the same corpus differ")
 	}
 	rev := make([]Sample, len(samples))
 	for i, s := range samples {
 		rev[len(samples)-1-i] = s
 	}
-	c, err := Train(rev).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, c) {
-		t.Error("sample order changed the model bytes")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	suite := dacapo.Suite()
-	m := Train(synthSamples(suite, trainFreqs))
-	path := filepath.Join(t.TempDir(), "model.dbsg")
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Summarize() != m.Summarize() {
-		t.Errorf("summary changed: %+v vs %+v", got.Summarize(), m.Summarize())
-	}
-	for _, spec := range suite {
-		for f := units.Freq(500); f <= 6000; f += 500 {
-			a, aok := m.Predict(synthConfig(spec, f), spec)
-			b, bok := got.Predict(synthConfig(spec, f), spec)
-			if aok != bok || a != b {
-				t.Fatalf("%s@%d: %+v/%v vs %+v/%v after round trip", spec.Name, f, a, aok, b, bok)
-			}
-		}
-	}
-	// A reloaded model is still re-encodable to the same bytes.
-	raw, _ := m.Encode()
-	raw2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, raw2) {
-		t.Error("re-encoding a loaded model changed its bytes")
-	}
-}
-
-// frameFile wraps a payload in valid model-file framing so tests can build
-// semantically-broken but well-framed files.
-func frameFile(t *testing.T, p filePayload) []byte {
-	t.Helper()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, fileHeaderSize+payload.Len())
-	copy(out[:4], fileMagic[:])
-	binary.LittleEndian.PutUint32(out[4:8], fileVersion)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(out[fileHeaderSize:], payload.Bytes())
-	return out
-}
-
-func TestDecodeRejectsMalformed(t *testing.T) {
-	valid, err := Train(synthSamples(dacapo.Suite()[:2], trainFreqs)).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(valid); err != nil {
-		t.Fatal(err)
-	}
-	mut := func(f func(b []byte) []byte) []byte {
-		b := append([]byte(nil), valid...)
-		return f(b)
-	}
-	cases := map[string][]byte{
-		"empty":     nil,
-		"header":    valid[:10],
-		"truncated": valid[:len(valid)-5],
-		"magic":     mut(func(b []byte) []byte { b[0] ^= 0xff; return b }),
-		"version":   mut(func(b []byte) []byte { b[4] ^= 0x01; return b }),
-		"length":    mut(func(b []byte) []byte { b[8] ^= 0x01; return b }),
-		"checksum":  mut(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }),
-		"notgob":    append(append([]byte(nil), valid[:fileHeaderSize]...), 0xff),
-		"schema":    frameFile(t, filePayload{Schema: "depburst-surrogate/99"}),
-		"nan":       frameFile(t, filePayload{Schema: FileSchema, Gamma: math.NaN()}),
-		"inf":       frameFile(t, filePayload{Schema: FileSchema, FeatMean: []float64{math.Inf(1)}, FeatStd: []float64{1}}),
-		"stdlen":    frameFile(t, filePayload{Schema: FileSchema, FeatMean: []float64{1}}),
-		"dupgroup": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{
-			{ID: "g", Pts: []point{{1000, 5}}}, {ID: "g", Pts: []point{{1000, 5}}},
-		}}),
-		"emptyid": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{{ID: ""}}}),
-		"badfreq": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{
-			{ID: "g", Pts: []point{{0, 5}}},
-		}}),
-		"badtime": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{
-			{ID: "g", Pts: []point{{1000, -5}}},
-		}}),
-		"dupfreq": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{
-			{ID: "g", Pts: []point{{1000, 5}, {1000, 6}}},
-		}}),
-		"nanfeat": frameFile(t, filePayload{Schema: FileSchema, Groups: []fileGroup{
-			{ID: "g", Feat: []float64{math.NaN()}, Pts: []point{{1000, 5}}},
-		}}),
-	}
-	for name, raw := range cases {
-		if _, err := Decode(raw); err == nil {
-			t.Errorf("%s: malformed model accepted", name)
-		}
-	}
-	// A file from before group ids were simcache keys would load groups no
-	// query can reach; it must fail on its schema instead.
-	_, err = Decode(frameFile(t, filePayload{Schema: "depburst-surrogate/1", Gamma: 0.5}))
-	if want := `surrogate: model schema "depburst-surrogate/1", want "depburst-surrogate/2"`; err == nil || err.Error() != want {
-		t.Errorf("old-schema model: err %v, want %s", err, want)
-	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "absent.dbsg")); err == nil {
-		t.Error("absent model file accepted")
+	if !reflect.DeepEqual(a, Train(rev)) {
+		t.Error("sample order changed the model")
 	}
 }
 
@@ -357,10 +225,14 @@ func TestObserveOnline(t *testing.T) {
 		t.Errorf("online-learned prediction off by %.3f", e)
 	}
 
-	// Re-observing the same run (or malformed observations) is a no-op.
+	// Re-observing the same run, malformed observations and sampled runs
+	// are no-ops.
 	m.Observe(synthConfig(spec, 2000), spec, synthTime(spec, 2000))
 	m.Observe(synthConfig(spec, 0), spec, 5)
 	m.Observe(synthConfig(spec, 1500), spec, -1)
+	sampled := synthConfig(spec, 1500)
+	sampled.Sampling.Enabled = true
+	m.Observe(sampled, spec, synthTime(spec, 1500))
 	if got := m.Summarize(); got != sum {
 		t.Errorf("no-op observations changed the model: %+v vs %+v", got, sum)
 	}
@@ -427,17 +299,12 @@ func TestScanCorpus(t *testing.T) {
 	if sum.Groups != len(suite) {
 		t.Errorf("trained %d groups, want %d", sum.Groups, len(suite))
 	}
-	// Scanning the same corpus again trains byte-identical models.
+	// Scanning the same corpus again trains an identical model.
 	again, err := Scan(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := m.Encode()
-	b, err := Train(again).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	if !reflect.DeepEqual(m, Train(again)) {
 		t.Error("rescan trained a different model")
 	}
 }
@@ -455,97 +322,8 @@ func TestScanMissingDir(t *testing.T) {
 	}
 }
 
-func TestDecodeClampsGamma(t *testing.T) {
-	m, err := Decode(frameFile(t, filePayload{Schema: FileSchema, Gamma: 2.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := m.Summarize().Gamma; g != 1 {
-		t.Errorf("gamma %v not clamped to 1", g)
-	}
-	m, err = Decode(frameFile(t, filePayload{Schema: FileSchema, Gamma: -0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := m.Summarize().Gamma; g != 0 {
-		t.Errorf("gamma %v not clamped to 0", g)
-	}
-}
-
-func TestWriteFileBadPath(t *testing.T) {
-	if err := NewModel().WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "m")); err == nil {
-		t.Error("unwritable path accepted")
-	}
-}
-
-// TestWriteFileConcurrent: two trainings writing one model path at once
-// must leave one complete model, never a mix or a stray temp file.
-func TestWriteFileConcurrent(t *testing.T) {
-	suite := dacapo.Suite()
-	models := []*Model{
-		Train(synthSamples(suite[:2], trainFreqs)),
-		Train(synthSamples(suite[2:], trainFreqs)),
-	}
-	var want [][]byte
-	for _, m := range models {
-		raw, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, raw)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.dbsg")
-	for round := 0; round < 20; round++ {
-		errs := make([]error, len(models))
-		var wg sync.WaitGroup
-		for i, m := range models {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = m.WriteFile(path)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-		}
-		got, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		raw, err := got.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, want[0]) && !bytes.Equal(raw, want[1]) {
-			t.Fatalf("round %d: file decodes to neither written model", round)
-		}
-		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
-			t.Fatalf("round %d: directory holds %d entries (%v), want only the model", round, len(entries), err)
-		}
-	}
-}
-
 func TestSmallHelpers(t *testing.T) {
-	if clamp01(0.5) != 0.5 {
-		t.Error("clamp01 moved an in-range value")
-	}
 	if relErr(0, 0) != 0 || relErr(3, 0) != 1 || relErr(2, 4) != 0.5 {
 		t.Error("relErr branches wrong")
-	}
-	if e := NewModel().estimate(-5, SourceKNN, 0.1); e.Time != 0 {
-		t.Error("negative estimate not clamped")
-	}
-	if (&group{feat: []float64{1, 2}}).work() != 0 {
-		t.Error("short feature vector produced work")
-	}
-	spec := dacapo.PMD()
-	spec.Threads = 0
-	man := NewTruthManifest(synthConfig(spec, 1000), spec)
-	if man.perThreadWork() != float64(spec.TotalInstrs()) {
-		t.Error("zero threads not floored to 1")
 	}
 }
