@@ -409,22 +409,25 @@ func cmdRun(r *experiments.Runner, args []string) {
 	}
 }
 
-// writeTo creates path and streams one export into it.
+// writeTo is writeFile for commands that exit on failure.
 func writeTo(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFile(path, write); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// writeFile creates path and streams one export into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
 	if err := write(f); err != nil {
 		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return f.Close()
 }
 
 // resolveSpec looks a benchmark up in the stock suite or, when suitePath is

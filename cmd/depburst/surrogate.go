@@ -54,6 +54,15 @@ type surrogateCheckDoc struct {
 //     model must beat the mean cold full-detail simulation by -min-speedup,
 //     with every request actually answered at tier 0.
 func cmdSurrogateCheck(args []string, workers int) {
+	if code := surrogateCheck(args, workers); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// surrogateCheck runs the gate and returns its exit status. Returning,
+// instead of exiting, lets the deferred removal of the cold corpus run on
+// every path.
+func surrogateCheck(args []string, workers int) int {
 	fs := flag.NewFlagSet("surrogatecheck", flag.ExitOnError)
 	maxErr := fs.Float64("max-err", 0.05, "fail when the held-out mean-abs error exceeds this")
 	minSpeedup := fs.Float64("min-speedup", 100, "fail below this surrogate-vs-cold-simulation speedup")
@@ -73,13 +82,13 @@ func cmdSurrogateCheck(args []string, workers int) {
 	dir, err := os.MkdirTemp("", "depburst-surrogatecheck-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	defer os.RemoveAll(dir)
 	st, err := simcache.Open(dir, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	corpus := newRunner()
 	corpus.SetDiskCache(st)
@@ -92,11 +101,11 @@ func cmdSurrogateCheck(args []string, workers int) {
 	samples, err := surrogate.Scan(st)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if want := len(suite) * len(experiments.EvalFreqs); len(samples) != want {
 		fmt.Fprintf(os.Stderr, "surrogatecheck: corpus scan found %d samples, want %d\n", len(samples), want)
-		os.Exit(1)
+		return 1
 	}
 
 	cleared, benchAnswers := surrogateHoldout(samples)
@@ -125,7 +134,7 @@ func cmdSurrogateCheck(args []string, workers int) {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	var served time.Duration
 	const rounds = 5
@@ -136,7 +145,7 @@ func cmdSurrogateCheck(args []string, workers int) {
 			req, err := http.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader([]byte(body)))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			start := time.Now() //depburst:allow determinism -- request latency is the measurement
 			srv.ServeHTTP(rec, req)
@@ -147,7 +156,7 @@ func cmdSurrogateCheck(args []string, workers int) {
 			}
 			if rec.code != http.StatusOK || json.Unmarshal(rec.body.Bytes(), &resp) != nil {
 				fmt.Fprintf(os.Stderr, "surrogatecheck: %s: status %d: %s\n", spec.Name, rec.code, rec.body.Bytes())
-				os.Exit(1)
+				return 1
 			}
 			if resp.Tier == "surrogate" {
 				doc.ServedTier0++
@@ -175,29 +184,34 @@ func cmdSurrogateCheck(args []string, workers int) {
 		doc.ServedTier0, requests, doc.SurrogateUs, doc.ColdSimMs, doc.Speedup, *minSpeedup)
 
 	if *out != "" {
-		writeTo(*out, func(w io.Writer) error {
+		err := writeFile(*out, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(doc)
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 		fmt.Printf("report -> %s\n", *out)
 	}
 	switch {
 	case !accurate:
 		fmt.Printf("surrogatecheck: FAILED (%d/%d held-out samples cleared the gate, mean-abs error %s, limit %s)\n",
 			doc.SampleCleared, doc.Samples, report.PctAbs(doc.SampleMeanAbs), report.PctAbs(*maxErr))
-		os.Exit(1)
+		return 1
 	case doc.BenchAnswers > 0:
 		fmt.Printf("surrogatecheck: FAILED (%d estimates for benchmarks outside the corpus)\n", doc.BenchAnswers)
-		os.Exit(1)
+		return 1
 	case doc.FellThrough > 0 || backing.Simulations() != 0:
 		fmt.Printf("surrogatecheck: FAILED (%d requests fell through to simulation)\n", doc.FellThrough)
-		os.Exit(1)
+		return 1
 	case doc.Speedup < *minSpeedup:
 		fmt.Printf("surrogatecheck: FAILED (speedup %.0fx below the %.0fx gate)\n", doc.Speedup, *minSpeedup)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("surrogatecheck: passed")
+	return 0
 }
 
 // surrogateHoldout cross-validates the corpus the way the serving tier is

@@ -49,6 +49,10 @@ const maxWays = 16
 // nibbles broadcasts a 4-bit value to every nibble of a word.
 const nibbles = 0x1111111111111111
 
+// initialOrder is the recency word a set starts from: way r at rank r,
+// truncated to the set's ways.
+const initialOrder = 0xFEDCBA9876543210
+
 // Cache is a set-associative write-back, write-allocate cache with true LRU
 // replacement. It models tags only (no data), which is all timing needs.
 //
@@ -56,14 +60,19 @@ const nibbles = 0x1111111111111111
 // lines[s*ways : (s+1)*ways], so a 16-way set is 128 contiguous bytes and
 // address hashing is pure shift/mask. Each set's LRU order is one recency
 // word: rank r (0 = most recently used) holds a way index in bits
-// [4r, 4r+4), and ranks at or above ways are zero. Invalid ways always
-// occupy the top ranks, lowest index at the very top, so the top nibble is
-// the replacement victim — the first invalid way by index, else the least
-// recently used way — with no scan.
+// [4r, 4r+4), and ranks at or above ways are zero. A per-set mask marks
+// the valid ways. The miss victim is the lowest-index invalid way, else
+// the top nibble, with no scan. Invalidation clears a way and its mask bit
+// and leaves the recency word alone: touch keeps the relative order of
+// every way it does not move, and the order only picks a victim once every
+// way is valid, by when each has been touched since it was last invalid,
+// so the top nibble is the least recently used way.
 type Cache struct {
 	cfg      CacheConfig
 	lines    []uint64
 	recency  []uint64
+	valid    []uint16 // bit i: way i holds a line
+	full     uint16   // every way's valid bit
 	ways     int
 	setMask  uint64
 	setShift uint // log2(number of sets); tag = lineNumber >> setShift
@@ -93,14 +102,14 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:      cfg,
 		lines:    make([]uint64, sets*cfg.Ways),
 		recency:  make([]uint64, sets),
+		valid:    make([]uint16, sets),
+		full:     uint16(1<<cfg.Ways - 1),
 		ways:     cfg.Ways,
 		setMask:  uint64(sets - 1),
 		setShift: shift,
 		lruShift: uint(4 * (cfg.Ways - 1)),
 	}
-	for si := range c.recency {
-		c.settle(uint64(si))
-	}
+	c.resetOrder()
 	return c
 }
 
@@ -138,30 +147,12 @@ func touch(rec, way uint64) uint64 {
 	return rec&above | (rec&below)<<4 | way
 }
 
-// settle restores set si's recency invariant after invalidations (or
-// builds it for a fresh set): valid ways keep their relative order from
-// rank 0 up, and invalid ways fill the ranks above them, lowest index at
-// the top.
-func (c *Cache) settle(si uint64) {
-	var valid uint64
-	for i, w := range c.set(si) {
-		valid |= (w & validBit) << i
+// resetOrder starts every set's recency word from initialOrder.
+func (c *Cache) resetOrder() {
+	order := initialOrder & (^uint64(0) >> (60 - c.lruShift))
+	for si := range c.recency {
+		c.recency[si] = order
 	}
-	old := c.recency[si]
-	var rec uint64
-	shift := uint(0)
-	for r := 0; r < c.ways; r++ {
-		w := old >> (4 * r) & 0xF
-		v := valid >> w & 1
-		rec |= w << shift & -v
-		shift += uint(4 * v)
-	}
-	top := c.lruShift
-	for inv := ^valid & (1<<c.ways - 1); inv != 0; inv &= inv - 1 {
-		rec |= uint64(bits.TrailingZeros64(inv)) << top
-		top -= 4
-	}
-	c.recency[si] = rec
 }
 
 // AccessResult reports the outcome of a cache access.
@@ -198,11 +189,15 @@ func (c *Cache) Access(addr Addr, write bool) AccessResult {
 	c.Misses++
 
 	rec := c.recency[si]
-	victim := rec >> c.lruShift
 	var res AccessResult
-	if old := set[victim]; old&validBit != 0 {
+	var victim uint64
+	if inv := ^c.valid[si] & c.full; inv != 0 {
+		victim = uint64(bits.TrailingZeros16(inv))
+		c.valid[si] |= 1 << victim
+	} else {
+		victim = rec >> c.lruShift
 		c.Evictions++
-		if old&dirtyBit != 0 {
+		if old := set[victim]; old&dirtyBit != 0 {
 			c.Writebacks++
 			res.WritebackValid = true
 			res.WritebackAddr = c.reconstruct(old>>tagShift, si)
@@ -234,7 +229,7 @@ func (c *Cache) Invalidate(addr Addr) (present, dirty bool) {
 	for i, w := range set {
 		if w&^dirtyBit == key {
 			set[i] = 0
-			c.settle(si)
+			c.valid[si] &^= 1 << i
 			return true, w&dirtyBit != 0
 		}
 	}
@@ -261,21 +256,16 @@ func (c *Cache) InvalidateRange(base Addr, size int64) {
 		}
 		return
 	}
-	for si := range c.recency {
+	for si, valid := range c.valid {
 		set := c.set(uint64(si))
-		dropped := false
-		for i, w := range set {
-			if w&validBit == 0 {
-				continue
-			}
-			if a := c.reconstruct(w>>tagShift, uint64(si)); a >= lo && a < hi {
+		for m := valid; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros16(m)
+			if a := c.reconstruct(set[i]>>tagShift, uint64(si)); a >= lo && a < hi {
 				set[i] = 0
-				dropped = true
+				valid &^= 1 << i
 			}
 		}
-		if dropped {
-			c.settle(uint64(si))
-		}
+		c.valid[si] = valid
 	}
 }
 
@@ -303,6 +293,7 @@ func (c *Cache) InstallRange(base Addr, size int64) {
 		tag := ln >> c.setShift
 		way := tag % ways
 		c.lines[si*ways+way] = tag<<tagShift | dirtyBit | validBit
+		c.valid[si] |= 1 << way
 		c.recency[si] = touch(c.recency[si], way)
 	}
 }
@@ -316,9 +307,8 @@ func (c *Cache) Flush() (dirty int) {
 		}
 	}
 	clear(c.lines)
-	for si := range c.recency {
-		c.settle(uint64(si))
-	}
+	clear(c.valid)
+	c.resetOrder()
 	return dirty
 }
 

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,208 @@ func TestPermIsPermutation(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// treeGapMeans are the event-gap means trace.FillBlock asks for: 1000/ev for
+// the loads+stores per kilo-instruction of every profile in the tree.
+var treeGapMeans = func() []float64 {
+	var means []float64
+	for _, ev := range []float64{2, 4, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19} {
+		means = append(means, 1000/ev)
+	}
+	return means
+}()
+
+// sourceAt returns a Source whose next Uint64 is v, by inverting one
+// SplitMix64 step, so a test can feed Draw any uniform it likes.
+func sourceAt(v uint64) *Source {
+	unshift := func(z uint64, k uint) uint64 {
+		x := z
+		for s := k; s < 64; s += k {
+			x ^= z >> s
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 { // odd m, mod 2^64 by Newton's method
+		inv := m
+		for i := 0; i < 5; i++ {
+			inv *= 2 - m*inv
+		}
+		return inv
+	}
+	z := unshift(v, 31) * inverse(0x94D049BB133111EB)
+	z = unshift(z, 27) * inverse(0xBF58476D1CE4E5B9)
+	return &Source{state: unshift(z, 30) - 0x9E3779B97F4A7C15}
+}
+
+func TestSourceAt(t *testing.T) {
+	r := New(21)
+	for i := 0; i < 1000; i++ {
+		v := r.Uint64()
+		if got := sourceAt(v).Uint64(); got != v {
+			t.Fatalf("sourceAt(%#x) yields %#x", v, got)
+		}
+	}
+}
+
+// checkUniform compares the sampler with the formula at uniform x/2^53.
+func checkUniform(t *testing.T, g Geometric, mean float64, x uint64) {
+	t.Helper()
+	if d, w := g.Draw(sourceAt(x<<11)), geometricFormula(sourceAt(x<<11), mean); d != w {
+		t.Fatalf("mean %v uniform %#x: table %d, formula %d", mean, x, d, w)
+	}
+}
+
+// TestGeometricTableTreeMeans is the table's oracle on the means the
+// simulator draws from: seeded streams, and every uniform within 256 of
+// every boundary the table holds, must match the formula (-short checks
+// fewer of each).
+func TestGeometricTableTreeMeans(t *testing.T) {
+	draws, window := 10_000_000, uint64(256)
+	if testing.Short() {
+		draws, window = 100_000, 8
+	}
+	for i, mean := range treeGapMeans {
+		g := NewGeometric(mean)
+		if g.tab == nil || len(g.tab.first) != 1<<(53-geoBucketShift)-1 {
+			t.Fatalf("mean %v: table covers %d buckets, want all but the tail bucket", mean, len(g.tab.first))
+		}
+		want, got := New(uint64(i)), New(uint64(i))
+		for j := 0; j < draws; j++ {
+			if w, d := geometricFormula(want, mean), g.Draw(got); w != d {
+				t.Fatalf("mean %v draw %d: table %d, formula %d", mean, j, d, w)
+			}
+		}
+		for _, b := range g.tab.thr {
+			for x := b - window; x <= b+window; x++ {
+				checkUniform(t, g, mean, x)
+			}
+		}
+		for b := range g.tab.first { // both edges of every covered bucket
+			checkUniform(t, g, mean, uint64(b)<<geoBucketShift)
+			checkUniform(t, g, mean, uint64(b+1)<<geoBucketShift-1)
+		}
+		checkUniform(t, g, mean, 1<<53-1)
+	}
+}
+
+// TestGeometricPastCacheCap: once geoCacheCap means hold tables, a new mean
+// gets none and draws by the formula alone.
+func TestGeometricPastCacheCap(t *testing.T) {
+	var c geoCache
+	for i := 0; i < geoCacheCap; i++ {
+		if g := newGeometric(float64(2+i), &c); g.tab == nil {
+			t.Fatalf("mean %d got no table", 2+i)
+		}
+	}
+	const mean = 1000.0 / 13
+	g := newGeometric(mean, &c)
+	if g.tab != nil || c.n.Load() != geoCacheCap {
+		t.Fatalf("cache grew past its cap: %d tables", c.n.Load())
+	}
+	want, got := New(9), New(9)
+	for j := 0; j < 100_000; j++ {
+		if w, d := geometricFormula(want, mean), g.Draw(got); w != d {
+			t.Fatalf("draw %d: %d, formula %d", j, d, w)
+		}
+	}
+}
+
+// TestGeometricConcurrentFirstUse races first use of fresh means: every
+// goroutine gets the one shared table, and its draws match the formula.
+func TestGeometricConcurrentFirstUse(t *testing.T) {
+	var c geoCache
+	means := []float64{1000.0 / 3, 1000.0 / 5, 1000.0 / 7}
+	const workers = 8
+	tabs := make([][]*geoTable, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, mean := range means {
+				g := newGeometric(mean, &c)
+				tabs[w] = append(tabs[w], g.tab)
+				want, got := New(uint64(10*w+i)), New(uint64(10*w+i))
+				for j := 0; j < 10_000; j++ {
+					if wv, d := geometricFormula(want, mean), g.Draw(got); wv != d {
+						t.Errorf("worker %d mean %v draw %d: %d, formula %d", w, mean, j, d, wv)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range tabs {
+		for i := range means {
+			if tabs[w][i] == nil || tabs[w][i] != tabs[0][i] {
+				t.Fatalf("worker %d mean %v: table %p, worker 0 has %p", w, means[i], tabs[w][i], tabs[0][i])
+			}
+		}
+	}
+}
+
+var drawSink int64
+
+// TestGeometricDrawZeroAllocs: a draw from a sampler whose table exists
+// never allocates.
+func TestGeometricDrawZeroAllocs(t *testing.T) {
+	g := NewGeometric(1000.0 / 14)
+	s := New(4)
+	if avg := testing.AllocsPerRun(1000, func() { drawSink += g.Draw(s) + NewGeometric(1000.0/14).Draw(s) }); avg != 0 {
+		t.Errorf("Draw allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// FuzzGeometricMatchesFormula builds a fresh table for an arbitrary mean and
+// checks seeded draws, and the uniforms either side of each boundary,
+// against the formula, including how many values each draw consumes.
+func FuzzGeometricMatchesFormula(f *testing.F) {
+	f.Add(1000.0/14, uint64(1))
+	f.Add(1.5, uint64(2))
+	f.Add(math.Nextafter(1, 2), uint64(3))
+	f.Add(1e17, uint64(4))
+	f.Add(math.Inf(1), uint64(5))
+	f.Fuzz(func(t *testing.T, mean float64, seed uint64) {
+		g := newGeometric(mean, &geoCache{})
+		want, got := New(seed), New(seed)
+		for j := 0; j < 1000; j++ {
+			if w, d := geometricFormula(want, mean), g.Draw(got); w != d {
+				t.Fatalf("mean %v seed %d draw %d: %d, formula %d", mean, seed, j, d, w)
+			}
+		}
+		if *got != *want {
+			t.Fatalf("mean %v: the sampler consumed a different number of values", mean)
+		}
+		if g.tab == nil {
+			return
+		}
+		for _, b := range g.tab.thr {
+			for x := b - 2; x <= b+1; x++ {
+				checkUniform(t, g, mean, x)
+			}
+		}
+	})
+}
+
+// BenchmarkGeometricDraw draws event gaps at a tree mean, from the table
+// and by the formula.
+func BenchmarkGeometricDraw(b *testing.B) {
+	formula := NewGeometric(1000.0 / 14)
+	formula.tab = nil
+	for _, bc := range []struct {
+		name string
+		g    Geometric
+	}{{"table", NewGeometric(1000.0 / 14)}, {"formula", formula}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(1)
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				sum += bc.g.Draw(s)
+			}
+			drawSink = sum
+		})
 	}
 }

@@ -5,7 +5,11 @@ import (
 
 	"depburst/internal/cpu"
 	"depburst/internal/dacapo"
+	"depburst/internal/energy"
 	"depburst/internal/kernel"
+	"depburst/internal/metrics"
+	"depburst/internal/power"
+	"depburst/internal/sampling"
 	"depburst/internal/sim"
 	"depburst/internal/units"
 )
@@ -87,6 +91,74 @@ func TestQuantumSamplesContiguous(t *testing.T) {
 	}
 	if energy != res.Energy {
 		t.Errorf("sample energies sum to %v, result says %v", energy, res.Energy)
+	}
+}
+
+// TestEnergyIsSamplesPlusTransitions checks energy = ∫power over samples
+// where DVFS and sampling act: a sampled run's quantum energies sum to its
+// total exactly, and a governed run's total exceeds that sum by exactly the
+// transition charges, recomputed from the frequency changes its metrics
+// registry records (a chip-wide change, core -1, charges every core).
+func TestEnergyIsSamplesPlusTransitions(t *testing.T) {
+	spec, err := dacapo.ByName("pmd.scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.Scaled(0.25)
+	mcfg := energy.DefaultManagerConfig(0.10)
+	for _, tc := range []struct {
+		name    string
+		sampled bool
+		govern  func(*sim.Machine)
+	}{
+		{name: "sampled", sampled: true},
+		{name: "chip", govern: func(m *sim.Machine) { m.SetGovernor(energy.NewManager(mcfg).Governor()) }},
+		{name: "percore", govern: func(m *sim.Machine) { m.SetCoreGovernor(energy.NewPerCoreManager(mcfg).Governor()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.DefaultConfig()
+			cfg.Freq = 4000
+			spec.Configure(&cfg)
+			if tc.sampled {
+				cfg.Sampling = sampling.DefaultPolicy()
+			}
+			cfg.Metrics = metrics.NewRegistry()
+			m := sim.New(cfg)
+			if tc.govern != nil {
+				tc.govern(m)
+			}
+			res, err := m.Run(dacapo.New(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var samples, charges units.Energy
+			for _, s := range res.Samples {
+				samples += s.Energy
+			}
+			changes := cfg.Metrics.FreqChanges()
+			for _, c := range changes {
+				cores := 1
+				if c.Core < 0 {
+					cores = cfg.Cores
+				}
+				charges += units.EnergyFromPower(
+					float64(cores)*m.Power.CorePower(c.Freq, power.Activity{BusyFrac: 1}),
+					cfg.TransitionLatency)
+			}
+			if len(changes) != res.Transitions {
+				t.Fatalf("registry recorded %d frequency changes, result counts %d", len(changes), res.Transitions)
+			}
+			if got := res.Energy - samples; got != charges {
+				t.Errorf("energy %v exceeds the sample sum %v by %v, transitions charge %v", res.Energy, samples, got, charges)
+			}
+			t.Logf("%d samples, %d transitions charging %v of %v", len(res.Samples), res.Transitions, charges, res.Energy)
+			switch {
+			case tc.sampled && (res.Sampling == nil || res.Sampling.FastQuanta == 0):
+				t.Error("the sampled run never fast-forwarded")
+			case !tc.sampled && res.Transitions == 0:
+				t.Error("the governed run made no DVFS transitions")
+			}
+		})
 	}
 }
 
