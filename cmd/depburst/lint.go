@@ -15,14 +15,11 @@ import (
 func cmdLint(args []string) {
 	fs := flag.NewFlagSet("lint", flag.ExitOnError)
 	jsonFlag := fs.Bool("json", false, "emit the machine-readable report ({version, count, diagnostics})")
-	sarifFlag := fs.Bool("sarif", false, "emit a SARIF 2.1.0 report (for code-scanning upload)")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this fingerprint file; only new findings fail")
-	writeBaseline := fs.Bool("write-baseline", false, "record current findings into -baseline FILE and exit clean")
 	fixHints := fs.Bool("fix-hints", false, "print a suggested fix under each diagnostic")
 	only := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	dir := fs.String("C", ".", "module root to analyze")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: depburst lint [-json|-sarif] [-baseline FILE [-write-baseline]] [-fix-hints] [-analyzers LIST] [-C DIR] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: depburst lint [-json] [-fix-hints] [-analyzers LIST] [-C DIR] [packages]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -31,13 +28,10 @@ func cmdLint(args []string) {
 	fs.Parse(args)
 
 	cfg := analysis.LintConfig{
-		Dir:           *dir,
-		Patterns:      fs.Args(),
-		JSON:          (*jsonFlag || jsonOut) && !*sarifFlag,
-		SARIF:         *sarifFlag,
-		Baseline:      *baseline,
-		WriteBaseline: *writeBaseline,
-		FixHints:      *fixHints,
+		Dir:      *dir,
+		Patterns: fs.Args(),
+		JSON:     *jsonFlag || jsonOut,
+		FixHints: *fixHints,
 	}
 	if *only != "" {
 		cfg.Analyzers = strings.Split(*only, ",")

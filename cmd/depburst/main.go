@@ -137,10 +137,6 @@ commands:
   trace -bench NAME [-threshold X]  frequency timeline under the manager
   svg -bench NAME [-threshold X] [-o FILE]  the same timeline as an SVG
   all [-step MHz]   every experiment in order (one shared, prewarmed runner)
-  bench [-step MHz] [-o FILE] [-baseline] [-cachecheck] [-samplecheck]
-                    time the suite parallel vs serial, cold vs warm through
-                    the cache, and cold vs warm in sampled mode; verify
-                    byte-identical output, write BENCH_suite.json
   run -bench NAME [-freq MHz] [-metrics FILE] [-timeline FILE]
       [-managed] [-threshold X] [-target MHz]
                     one measured run; -metrics exports the observability
@@ -169,7 +165,7 @@ commands:
                     trains the tier-0 fast path at boot from the -cache
                     corpus
   loadtest [-addr HOST:PORT] [-rps N] [-duration D] [-bench NAME]
-           [-p99-ms MS] [-o FILE]
+           [-p99-ms MS]
                     drive a running server and assert p99 + zero 5xx;
                     reports per-tier serving counts when exposed
   lint [-json] [-fix-hints] [-analyzers LIST] [-C DIR] [packages]
@@ -282,8 +278,21 @@ global:
 	}
 }
 
+// ownFlags lists the commands that parse flags of their own. Every other
+// command takes no arguments: a leftover one exits 2 before any work, as
+// it does for these after their flags.
+var ownFlags = map[string]bool{
+	"fig7": true, "heap": true, "trace": true, "svg": true, "all": true,
+	"run": true, "report": true, "record": true, "suite": true,
+	"samplecheck": true, "surrogatecheck": true, "offline": true,
+	"predict": true, "serve": true, "loadtest": true, "lint": true,
+}
+
 // dispatch runs one command.
 func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
+	if !ownFlags[cmd] {
+		parseFlags(flag.NewFlagSet(cmd, flag.ExitOnError), args)
+	}
 	switch cmd {
 	case "table1":
 		emit(r.Table1())
@@ -302,7 +311,7 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	case "fig7":
 		fs := flag.NewFlagSet("fig7", flag.ExitOnError)
 		step := fs.Int("step", 125, "static sweep step in MHz")
-		fs.Parse(args)
+		parseFlags(fs, args)
 		r.Fig7(units.Freq(*step)).Fprint(os.Stdout)
 	case "ablation":
 		emit(r.EngineAblation())
@@ -325,7 +334,7 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	case "heap":
 		fs := flag.NewFlagSet("heap", flag.ExitOnError)
 		bench := fs.String("bench", "lusearch", "benchmark name")
-		fs.Parse(args)
+		parseFlags(fs, args)
 		emit(r.HeapPressureSweep(*bench))
 	case "seeds":
 		emit(r.SeedSensitivity(nil))
@@ -336,19 +345,17 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	case "all":
 		fs := flag.NewFlagSet("all", flag.ExitOnError)
 		step := fs.Int("step", 125, "static sweep step in MHz")
-		fs.Parse(args)
+		parseFlags(fs, args)
 		for _, t := range suiteTables(r, units.Freq(*step)) {
 			emit(t)
 		}
-	case "bench":
-		cmdBench(args, workers)
 	case "run":
 		cmdRun(r, args)
 	case "report":
 		fs := flag.NewFlagSet("report", flag.ExitOnError)
 		base := fs.Int("base", 1000, "base frequency in MHz")
 		target := fs.Int("target", 4000, "target frequency in MHz")
-		fs.Parse(args)
+		parseFlags(fs, args)
 		emit(r.ErrorBreakdownTable(units.Freq(*base), units.Freq(*target)))
 	case "record":
 		cmdRecord(r, args)
@@ -375,6 +382,18 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	}
 }
 
+// parseFlags parses a command's flags and exits 2 on a leftover argument,
+// which the command would otherwise ignore: `depburst fig1 fig6` would
+// render Figure 1 alone and exit 0. Only lint takes positional arguments
+// (package patterns), and it parses its own.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "depburst %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		os.Exit(2)
+	}
+}
+
 func cmdRun(r *experiments.Runner, args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	bench := fs.String("bench", "xalan", "benchmark name")
@@ -385,7 +404,7 @@ func cmdRun(r *experiments.Runner, args []string) {
 	managed := fs.Bool("managed", false, "govern the run with the DEP+BURST energy manager (starts at 4 GHz)")
 	threshold := fs.Float64("threshold", 0.10, "manager slowdown bound (with -managed)")
 	target := fs.Int("target", 0, "record prediction-error telemetry against the truth run at this frequency (MHz)")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	spec := resolveSpec(*suite, *bench)
 
 	if *metricsOut == "" && *timelineOut == "" && !*managed && *target == 0 {
@@ -481,7 +500,7 @@ func printRun(spec dacapo.Spec, res *sim.Result) {
 func cmdSuite(args []string) {
 	fs := flag.NewFlagSet("suite", flag.ExitOnError)
 	out := fs.String("o", "suite.json", "output file")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -555,7 +574,7 @@ func cmdRecord(r *experiments.Runner, args []string) {
 	freq := fs.Int("freq", 1000, "frequency in MHz")
 	out := fs.String("o", "observation.json", "output file")
 	suite := fs.String("suite", "", "custom suite JSON")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	spec := resolveSpec(*suite, *bench)
 	res := r.Truth(spec, units.Freq(*freq))
 	obs := experiments.Observe(res)
@@ -573,7 +592,7 @@ func cmdOffline(args []string) {
 	fs := flag.NewFlagSet("offline", flag.ExitOnError)
 	path := fs.String("obs", "observation.json", "recorded observation")
 	target := fs.Int("target", 4000, "target frequency in MHz")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	name, obs, err := obsio.ReadFile(*path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -596,7 +615,7 @@ func cmdSVG(r *experiments.Runner, args []string) {
 	bench := fs.String("bench", "xalan", "benchmark name")
 	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
 	out := fs.String("o", "timeline.svg", "output file")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	checkThreshold(*threshold)
 	spec, err := dacapo.ByName(*bench)
 	if err != nil {
@@ -624,7 +643,7 @@ func cmdTrace(r *experiments.Runner, args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	bench := fs.String("bench", "xalan", "benchmark name")
 	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	checkThreshold(*threshold)
 	spec, err := dacapo.ByName(*bench)
 	if err != nil {
@@ -669,7 +688,7 @@ func cmdPredict(r *experiments.Runner, args []string) {
 	base := fs.Int("base", 1000, "base frequency in MHz")
 	target := fs.Int("target", 4000, "target frequency in MHz")
 	suite := fs.String("suite", "", "custom suite JSON")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	spec := resolveSpec(*suite, *bench)
 	obs := experiments.Observe(r.Truth(spec, units.Freq(*base)))
 	actual := r.TruthSummary(spec, units.Freq(*target)).Time

@@ -57,7 +57,7 @@ func cmdSampleCheck(args []string, workers int) {
 	fs := flag.NewFlagSet("samplecheck", flag.ExitOnError)
 	minSpeedup := fs.Float64("min-speedup", 3.0, "fail below this cold-run speedup")
 	out := fs.String("o", "", "also write the machine-readable report (JSON) to FILE")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	newRunner := func() *experiments.Runner {
 		if workers > 0 {

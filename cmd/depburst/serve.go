@@ -33,7 +33,7 @@ func cmdServe(r *experiments.Runner, args []string) {
 	step := fs.Int("step", 500, "fig7 static-sweep step in MHz (requests may override with ?step=)")
 	suite := fs.String("suite", "", "custom suite JSON replacing the stock benchmarks (see 'depburst suite')")
 	tier0 := fs.Bool("surrogate", false, "serve the surrogate tier, trained at boot from the -cache corpus (empty corpus: starts cold, learns online from fallback truths)")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	if *suite != "" {
 		specs, err := dacapo.ReadSpecsFile(*suite)
@@ -107,8 +107,7 @@ func cmdLoadtest(args []string) {
 	duration := fs.Duration("duration", 5*time.Second, "run length")
 	bench := fs.String("bench", "pmd.scale", "benchmark to predict")
 	p99 := fs.Float64("p99-ms", 250, "fail when the warm p99 exceeds this (0 disables)")
-	out := fs.String("o", "", "merge the report into this BENCH_suite.json-style file under key \"loadtest\"")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	body := []byte(fmt.Sprintf(
 		`{"bench":%q,"base_mhz":1000,"targets_mhz":[2000,4000],"models":["dep+burst"]}`, *bench))
@@ -137,14 +136,6 @@ func cmdLoadtest(args []string) {
 	}
 	rep.WriteJSON(os.Stdout)
 	printTierSplit(base)
-
-	if *out != "" {
-		if err := mergeLoadReport(*out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("loadtest       -> %s (key \"loadtest\")\n", *out)
-	}
 
 	fail := false
 	if rep.Errors5xx > 0 || rep.NetErrors > 0 {

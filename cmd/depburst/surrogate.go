@@ -67,7 +67,7 @@ func surrogateCheck(args []string, workers int) int {
 	maxErr := fs.Float64("max-err", 0.05, "fail when the held-out mean-abs error exceeds this")
 	minSpeedup := fs.Float64("min-speedup", 100, "fail below this surrogate-vs-cold-simulation speedup")
 	out := fs.String("o", "", "also write the machine-readable report (JSON) to FILE")
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	newRunner := func() *experiments.Runner {
 		if workers > 0 {

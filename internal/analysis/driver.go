@@ -17,18 +17,8 @@ type LintConfig struct {
 	Analyzers []string
 	// JSON emits the machine-readable report instead of text lines.
 	JSON bool
-	// SARIF emits a SARIF 2.1.0 report instead of text lines. Mutually
-	// exclusive with JSON.
-	SARIF bool
-	// Baseline, when set, names a fingerprint file: findings recorded there
-	// are suppressed (up to their recorded count), so only new findings
-	// surface. A missing file acts as an empty baseline.
-	Baseline string
-	// WriteBaseline records the run's findings into Baseline instead of
-	// reporting them; the run then exits clean by construction.
-	WriteBaseline bool
 	// FixHints appends each diagnostic's suggested fix in text mode (hints
-	// are always present in JSON and folded into SARIF messages).
+	// are always present in JSON).
 	FixHints bool
 }
 
@@ -44,12 +34,6 @@ type jsonReport struct {
 // returns the number of diagnostics; the CLI maps a nonzero count to exit
 // status 1.
 func Lint(cfg LintConfig, out io.Writer) (int, error) {
-	if cfg.JSON && cfg.SARIF {
-		return 0, fmt.Errorf("analysis: -json and -sarif are mutually exclusive")
-	}
-	if cfg.WriteBaseline && cfg.Baseline == "" {
-		return 0, fmt.Errorf("analysis: -write-baseline requires -baseline FILE")
-	}
 	patterns := cfg.Patterns
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -65,26 +49,6 @@ func Lint(cfg LintConfig, out io.Writer) (int, error) {
 	diags, err := Run(cfg.Dir, patterns, analyzers)
 	if err != nil {
 		return 0, err
-	}
-	if cfg.WriteBaseline {
-		if err := WriteBaseline(cfg.Baseline, diags); err != nil {
-			return 0, err
-		}
-		_, err := fmt.Fprintf(out, "wrote %s (%d finding(s) baselined)\n", cfg.Baseline, len(diags))
-		return 0, err
-	}
-	if cfg.Baseline != "" {
-		baseline, err := ReadBaseline(cfg.Baseline)
-		if err != nil {
-			return 0, err
-		}
-		diags = FilterBaseline(diags, baseline)
-	}
-	if cfg.SARIF {
-		if err := writeSARIF(out, analyzers, diags); err != nil {
-			return len(diags), err
-		}
-		return len(diags), nil
 	}
 	if cfg.JSON {
 		rep := jsonReport{Version: 1, Count: len(diags), Diagnostics: diags}

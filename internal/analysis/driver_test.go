@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,26 @@ func TestLintJSONEmptyDiagnostics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\"diagnostics\": []") {
 		t.Errorf("empty run must marshal diagnostics as []:\n%s", buf.String())
+	}
+}
+
+// TestLintJSONByteDeterministic requires a byte-identical JSON report
+// across repeated runs and across GOMAXPROCS settings — the lint report is
+// an export, so the repo's determinism invariant applies to it.
+func TestLintJSONByteDeterministic(t *testing.T) {
+	render := func() string {
+		var buf strings.Builder
+		if _, err := Lint(LintConfig{Dir: fixRoot, JSON: true}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := render()
+	prev := runtime.GOMAXPROCS(8)
+	second := render()
+	runtime.GOMAXPROCS(prev)
+	if first != second {
+		t.Errorf("JSON report differs across runs/-j settings:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
 }
 

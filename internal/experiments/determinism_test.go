@@ -186,6 +186,49 @@ func damageCache(t *testing.T, st *simcache.Store) {
 	}
 }
 
+// unwritableStore opens a store and then replaces its directory with a
+// regular file: every read misses and every write fails, whatever the
+// process's privileges (root ignores a chmod).
+func unwritableStore(t *testing.T) *simcache.Store {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "cache")
+	st, err := simcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestUnwritableCacheNeverFailsARun: a Runner whose store takes no write
+// returns a memory-only Runner's results byte for byte, from as many
+// simulations, through both the full and the head read, and installs
+// nothing.
+func TestUnwritableCacheNeverFailsARun(t *testing.T) {
+	spec := memoSpec(t)
+	st := unwritableStore(t)
+	broken, plain := cachedRunner(2, st), NewRunnerWorkers(2)
+	got, _ := broken.Truth(spec, 1000).MarshalBinary()
+	want, _ := plain.Truth(spec, 1000).MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Error("the unwritable store's Runner returned a different result")
+	}
+	if h, w := broken.TruthSummary(spec, 2000), plain.TruthSummary(spec, 2000); h != w {
+		t.Errorf("head %+v, memory-only head %+v", h, w)
+	}
+	if broken.Simulations() != plain.Simulations() || broken.Simulations() != 2 {
+		t.Errorf("%d simulations, memory-only Runner %d; want 2 each", broken.Simulations(), plain.Simulations())
+	}
+	if s := st.Stats(); s.Puts != 0 || s.Hits != 0 {
+		t.Errorf("store stats %+v; want no puts and no hits", s)
+	}
+}
+
 // TestDiskCacheRoundTripAndFallback covers the persistent cache at the
 // runner level: a warm runner serves the truth and governed families from
 // disk with results deep-equal to the live run, and a damaged cache

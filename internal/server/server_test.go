@@ -165,6 +165,38 @@ func TestPredictColdWarmIdentical(t *testing.T) {
 	}
 }
 
+// TestPredictUnwritableCache: a server whose cache directory was replaced
+// by a regular file after it opened (so every write fails, whatever the
+// process's privileges) answers an actual prediction with 200 and the body
+// a server without a cache gives.
+func TestPredictUnwritableCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	st, err := simcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	broken, r := newTestServer(t, nil)
+	r.SetDiskCache(st)
+	plain, _ := newTestServer(t, nil)
+	got := post(t, broken, "/v1/predict", predictBody)
+	want := post(t, plain, "/v1/predict", predictBody)
+	if got.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", got.Code, got.Body)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("unwritable-cache response differs:\ngot:  %s\nwant: %s", got.Body, want.Body)
+	}
+	if s := st.Stats(); s.Puts != 0 {
+		t.Errorf("store stats %+v; want no puts", s)
+	}
+}
+
 // TestPredictCoalescing is the batching contract: 100 concurrent identical
 // cold requests must produce exactly ONE simulation, 100 identical 200
 // responses, and a non-zero coalesced counter.
