@@ -207,8 +207,8 @@ func unwritableStore(t *testing.T) *simcache.Store {
 
 // TestUnwritableCacheNeverFailsARun: a Runner whose store takes no write
 // returns a memory-only Runner's results byte for byte, from as many
-// simulations, through both the full and the head read, and installs
-// nothing.
+// simulations, through both the full and the head read, installs nothing,
+// and counts each failed write.
 func TestUnwritableCacheNeverFailsARun(t *testing.T) {
 	spec := memoSpec(t)
 	st := unwritableStore(t)
@@ -224,8 +224,8 @@ func TestUnwritableCacheNeverFailsARun(t *testing.T) {
 	if broken.Simulations() != plain.Simulations() || broken.Simulations() != 2 {
 		t.Errorf("%d simulations, memory-only Runner %d; want 2 each", broken.Simulations(), plain.Simulations())
 	}
-	if s := st.Stats(); s.Puts != 0 || s.Hits != 0 {
-		t.Errorf("store stats %+v; want no puts and no hits", s)
+	if s := st.Stats(); s.Puts != 0 || s.Hits != 0 || s.PutErrors != 2 {
+		t.Errorf("store stats %+v; want no puts, no hits and 2 put errors", s)
 	}
 }
 
@@ -295,10 +295,11 @@ func (p gobPayload) MarshalBinary() ([]byte, error) {
 
 // TestGobEntryDegradesToMiss covers version skew inside one key: every
 // live entry of a populated cache is rewritten, under a valid frame and
-// checksum, as the gob payload an older binary wrote. Reading one must be
-// a miss that purges the entry and its sidecar and leaves the destination
-// untouched; a Runner on the cache then re-simulates every run, renders
-// the same table, and repopulates the cache.
+// checksum and with its manifest, as the gob payload an older binary
+// wrote. Reading one must be a miss that purges the entry, manifest and
+// all, and leaves the destination untouched; a Runner on the cache then
+// re-simulates every run, renders the same table, and repopulates the
+// cache with manifests.
 func TestGobEntryDegradesToMiss(t *testing.T) {
 	spec, err := dacapo.ByName("pmd.scale")
 	if err != nil {
@@ -321,19 +322,20 @@ func TestGobEntryDegradesToMiss(t *testing.T) {
 	}
 	for _, k := range keys {
 		var res sim.Result
-		if !st.Get(k, &res) {
+		meta, ok := st.GetMeta(k, &res)
+		if !ok {
 			t.Fatalf("fresh entry %s missed", k)
 		}
-		if !st.HasMeta(k) {
-			t.Fatalf("truth entry %s has no sidecar", k)
+		if len(meta) == 0 {
+			t.Fatalf("truth entry %s has no manifest", k)
 		}
-		if err := st.Put(k, gobPayload{&res}); err != nil {
+		if err := st.PutMeta(k, gobPayload{&res}, meta); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var out sim.Result
-	if st.Get(keys[0], &out) {
+	if meta, ok := st.GetMeta(keys[0], &out); ok || meta != nil {
 		t.Fatal("gob entry served as a hit")
 	}
 	if !reflect.DeepEqual(out, sim.Result{}) {
@@ -341,9 +343,6 @@ func TestGobEntryDegradesToMiss(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(st.Dir(), keys[0]+".sce")); !os.IsNotExist(err) {
 		t.Error("gob entry not purged")
-	}
-	if st.HasMeta(keys[0]) {
-		t.Error("gob entry's sidecar not purged")
 	}
 
 	got, r := render()
@@ -355,8 +354,8 @@ func TestGobEntryDegradesToMiss(t *testing.T) {
 	}
 	for _, k := range keys {
 		var res sim.Result
-		if !st.Get(k, &res) || !st.HasMeta(k) {
-			t.Errorf("entry %s not repopulated with its sidecar", k)
+		if meta, ok := st.GetMeta(k, &res); !ok || len(meta) == 0 {
+			t.Errorf("entry %s not repopulated with its manifest", k)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -170,26 +168,6 @@ func TestSlotCancelledFullKeepsHead(t *testing.T) {
 	}
 	if n := reads(st) - base; n != 2 || r.Simulations() != 0 {
 		t.Errorf("retry read the disk %d times in all and simulated %d runs, want 2 and 0", n, r.Simulations())
-	}
-}
-
-// TestSlotHeadHitBackfillsSidecar: a head hit installs a truth entry's
-// missing surrogate sidecar, as a full hit does.
-func TestSlotHeadHitBackfillsSidecar(t *testing.T) {
-	spec := memoSpec(t)
-	st := warmStore(t, spec)
-	r := cachedRunner(1, st)
-	j := r.truthJob(spec, 1000)
-	key := contentKey(j.kind, j.cfg, j.extra...)
-	if !st.HasMeta(key) {
-		t.Fatal("the cold run left no sidecar")
-	}
-	if err := os.Remove(filepath.Join(st.Dir(), key+".scm")); err != nil {
-		t.Fatal(err)
-	}
-	r.TruthSummary(spec, 1000)
-	if !st.HasMeta(key) {
-		t.Error("head hit did not backfill the sidecar")
 	}
 }
 

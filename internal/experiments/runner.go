@@ -349,13 +349,28 @@ func (r *Runner) gate(ctx context.Context) (func(), error) {
 // job is one run's complete input: its family (kind), the machine, the
 // workload, the governor and every other input that shapes the result.
 // kind, cfg and extra form the content key. govern, when non-nil,
-// installs a governor on the machine and returns its manager.
+// installs a governor on the machine and returns its manager. corpus
+// marks a full-detail truth run of one benchmark, whose cache entry
+// carries the surrogate training manifest.
 type job struct {
 	kind   string
 	cfg    sim.Config
 	w      sim.Workload
 	govern func(*sim.Machine) any
 	extra  []any
+	corpus bool
+}
+
+// manifest returns the surrogate training manifest of a corpus job's cache
+// entry, and nil for any other job. Only a live run's write-back calls it,
+// never a hit. The JSON encoding fails only on NaN or ±Inf, which
+// contentKey has already rejected.
+func (j job) manifest() []byte {
+	if !j.corpus {
+		return nil
+	}
+	meta, _ := surrogate.NewTruthManifest(j.cfg, j.w.(*dacapo.Workload).Spec).MarshalBinary()
+	return meta
 }
 
 // run resolves one memoised run in full. The manager of a governed run is
@@ -378,9 +393,7 @@ func (r *Runner) summary(j job) sim.Summary {
 // resolve resolves one memoised run: the memo, then the disk cache, then a
 // pool slot and a live simulation written back to disk. A caller that
 // needs only the head (full unset) decodes only the head of a disk entry;
-// a live simulation memoises the whole result either way. A full-detail
-// truth run of one benchmark also leaves the surrogate training sidecar
-// next to its disk entry, on a hit of either kind as on a write.
+// a live simulation memoises the whole result either way.
 func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *sim.Result, any, error) {
 	key := contentKey(j.kind, j.cfg, j.extra...)
 	return r.memo.slot(key).do(ctx, full, func(ctx context.Context) (*sim.Summary, *sim.Result, any, error) {
@@ -391,14 +404,12 @@ func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *
 			if full {
 				var res sim.Result
 				if r.disk.Get(key, &res) {
-					r.putTruthMeta(key, j)
 					head := res.Summary()
 					return &head, &res, nil, nil
 				}
 			} else {
 				var head sim.Summary
 				if r.disk.Get(key, &head) {
-					r.putTruthMeta(key, j)
 					return &head, nil, nil, nil
 				}
 			}
@@ -423,26 +434,13 @@ func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *
 		}
 		if r.disk != nil {
 			// Best effort: a full or read-only cache must never fail the
-			// experiment that produced the result.
-			_ = r.disk.Put(key, &out)
-			r.putTruthMeta(key, j)
+			// experiment that produced the result. The store counts and
+			// reports the failure.
+			_ = r.disk.PutMeta(key, &out, j.manifest())
 		}
 		head := out.Summary()
 		return &head, &out, mgr, nil
 	})
-}
-
-// putTruthMeta installs the surrogate training sidecar next to a cached
-// full-detail truth entry, best effort — it is what turns the cache into a
-// scannable corpus. Hits backfill sidecars missing from older corpora.
-// Governed, co-run, sequential and sampled-mode results are never offered
-// to the trainer.
-func (r *Runner) putTruthMeta(key string, j job) {
-	b, ok := j.w.(*dacapo.Workload)
-	if !ok || j.govern != nil || j.cfg.Sampling.Enabled || r.disk.HasMeta(key) {
-		return
-	}
-	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(j.cfg, b.Spec))
 }
 
 // TruthConfig is the configuration Truth simulates spec at frequency f
@@ -455,9 +453,12 @@ func (r *Runner) TruthConfig(spec dacapo.Spec, f units.Freq) sim.Config {
 	return cfg
 }
 
-// truthJob is the measured run of spec at frequency f.
+// truthJob is the measured run of spec at frequency f. A full-detail one
+// is surrogate training data; governed, co-run, sequential and
+// sampled-mode runs never are.
 func (r *Runner) truthJob(spec dacapo.Spec, f units.Freq) job {
-	return job{kind: "truth", cfg: r.TruthConfig(spec, f), w: dacapo.New(spec), extra: []any{spec}}
+	cfg := r.TruthConfig(spec, f)
+	return job{kind: "truth", cfg: cfg, w: dacapo.New(spec), extra: []any{spec}, corpus: !cfg.Sampling.Enabled}
 }
 
 // Truth returns the measured run of spec at frequency f. The run is

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -15,10 +14,9 @@ import (
 )
 
 // TestTruthManifestsScannable checks the corpus feedback loop at the
-// runner level: truth runs leave sidecar manifests behind, the surrogate
-// scanner recovers exactly the full-detail runs, warm hits backfill
-// sidecars missing from older corpora, and sampled-mode runs never enter
-// the training set.
+// runner level: truth entries carry their manifests, the surrogate scanner
+// recovers exactly the full-detail runs, a warm replay writes nothing, and
+// sampled-mode runs never enter the training set.
 func TestTruthManifestsScannable(t *testing.T) {
 	spec, err := dacapo.ByName("pmd.scale")
 	if err != nil {
@@ -56,32 +54,18 @@ func TestTruthManifestsScannable(t *testing.T) {
 		t.Errorf("corpus-config prediction off by %.3f (est %v, truth %v)", e, est.Time, truth.Time)
 	}
 
-	// Strip the sidecars; a warm replay (pure disk hits) backfills them.
-	des, err := os.ReadDir(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if filepath.Ext(de.Name()) == ".scm" {
-			if err := os.Remove(filepath.Join(st.Dir(), de.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	// A warm replay is pure disk hits: it writes nothing.
+	puts := st.Stats().Puts
 	warm := cachedRunner(2, st)
 	warm.Prewarm(suite, freqs...)
 	if n := warm.Simulations(); n != 0 {
 		t.Fatalf("warm replay simulated %d times", n)
 	}
-	again, err := surrogate.Scan(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(samples) {
-		t.Fatalf("backfilled corpus has %d samples, want %d", len(again), len(samples))
+	if n := st.Stats().Puts - puts; n != 0 {
+		t.Errorf("warm replay wrote %d entries", n)
 	}
 
-	// A sampled-mode runner writes entries but never training sidecars.
+	// A sampled-mode runner writes entries but never training manifests.
 	sst, err := simcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +73,14 @@ func TestTruthManifestsScannable(t *testing.T) {
 	sr := cachedRunner(2, sst)
 	sr.SetSampling(sampling.DefaultPolicy())
 	sr.Truth(spec, 1000)
-	if n, _, _ := sst.Size(); n == 0 {
-		t.Fatal("sampled run cached nothing")
+	skeys, err := sst.Keys()
+	if err != nil || len(skeys) == 0 {
+		t.Fatalf("sampled run cached nothing (%v)", err)
+	}
+	for _, k := range skeys {
+		if meta, ok := sst.GetMeta(k, &sim.Summary{}); !ok || len(meta) != 0 {
+			t.Errorf("sampled entry %s: served %v, manifest %q", k, ok, meta)
+		}
 	}
 	got, err := surrogate.Scan(sst)
 	if err != nil {
@@ -98,6 +88,43 @@ func TestTruthManifestsScannable(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("sampled-mode corpus yielded %d training samples", len(got))
+	}
+}
+
+// TestPrewarmLeavesOneFilePerEntry: a cold cached Prewarm leaves one file
+// per entry and nothing else, and each truth entry carries the manifest
+// of the run it holds.
+func TestPrewarmLeavesOneFilePerEntry(t *testing.T) {
+	spec := memoSpec(t)
+	st, err := simcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cachedRunner(2, st)
+	freqs := []units.Freq{1000, 2000}
+	r.Prewarm([]dacapo.Spec{spec}, freqs...)
+	keys, err := st.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	des, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(freqs) || len(des) != len(keys) {
+		t.Fatalf("Prewarm of %d runs left %d entries in %d files", len(freqs), len(keys), len(des))
+	}
+	for _, f := range freqs {
+		j := r.truthJob(spec, f)
+		var head sim.Summary
+		meta, ok := st.GetMeta(contentKey(j.kind, j.cfg, j.extra...), &head)
+		var m surrogate.Manifest
+		if !ok || m.UnmarshalBinary(meta) != nil {
+			t.Fatalf("truth entry at %v: served %v, manifest %q", f, ok, meta)
+		}
+		if want := surrogate.NewTruthManifest(r.TruthConfig(spec, f), spec); !reflect.DeepEqual(m, want) {
+			t.Errorf("manifest at %v: %+v, want %+v", f, m, want)
+		}
 	}
 }
 
@@ -146,12 +173,10 @@ func scanFull(t *testing.T, st *simcache.Store) []surrogate.Sample {
 	}
 	var samples []surrogate.Sample
 	for _, k := range keys {
-		var m surrogate.Manifest
-		if !st.GetMeta(k, &m) || m.Kind != surrogate.KindTruth || m.Config.Sampling.Enabled || m.Config.Freq <= 0 {
-			continue
-		}
 		var res sim.Result
-		if !st.Get(k, &res) || res.Time < 0 {
+		meta, ok := st.GetMeta(k, &res)
+		var m surrogate.Manifest
+		if !ok || m.UnmarshalBinary(meta) != nil || m.Kind != surrogate.KindTruth || m.Config.Sampling.Enabled || m.Config.Freq <= 0 || res.Time < 0 {
 			continue
 		}
 		samples = append(samples, surrogate.Sample{Config: m.Config, Spec: m.Spec, Time: res.Time})

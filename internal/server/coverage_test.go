@@ -49,13 +49,15 @@ func TestMetricsDiskCacheGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetDiskCache(st)
-	w := get(t, s, "/v1/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("metrics = %d", w.Code)
-	}
-	for _, g := range []string{"simcache_hits", "simcache_misses"} {
-		if !strings.Contains(w.Body.String(), g) {
-			t.Errorf("metrics missing gauge %q: %s", g, w.Body)
+	for _, path := range []string{"/v1/metrics", "/v1/metrics?format=prometheus"} {
+		w := get(t, s, path)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s = %d", path, w.Code)
+		}
+		for _, g := range []string{"simcache_hits", "simcache_misses", "simcache_put_errors"} {
+			if !strings.Contains(w.Body.String(), g) {
+				t.Errorf("%s missing gauge %q: %s", path, g, w.Body)
+			}
 		}
 	}
 }

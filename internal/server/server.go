@@ -292,6 +292,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := disk.Stats()
 		reg.SetGauge("simcache_hits", float64(st.Hits))
 		reg.SetGauge("simcache_misses", float64(st.Misses))
+		reg.SetGauge("simcache_put_errors", float64(st.PutErrors))
 	}
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

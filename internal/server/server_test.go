@@ -192,8 +192,8 @@ func TestPredictUnwritableCache(t *testing.T) {
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("unwritable-cache response differs:\ngot:  %s\nwant: %s", got.Body, want.Body)
 	}
-	if s := st.Stats(); s.Puts != 0 {
-		t.Errorf("store stats %+v; want no puts", s)
+	if s := st.Stats(); s.Puts != 0 || s.PutErrors == 0 {
+		t.Errorf("store stats %+v; want no puts and some put errors", s)
 	}
 }
 

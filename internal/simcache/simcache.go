@@ -12,22 +12,24 @@
 // invalidates the cache implicitly. The same function names the
 // surrogate's configuration groups. The store frames and checksums bytes;
 // each value owns its encoding (encoding.BinaryMarshaler and
-// BinaryUnmarshaler). Entries are self-checking (magic, version, payload
-// checksum) and written atomically (temp file + rename); corruption,
-// truncation or version skew degrades to a cache miss, never to a wrong
-// result. Total size is bounded by an LRU cap: reads refresh an entry's
-// mtime, and writes evict least-recently-used entries beyond the cap.
+// BinaryUnmarshaler). An entry is one file: an optional manifest (opaque
+// bytes describing the entry's inputs) and the value's payload under one
+// frame and one checksum, written atomically (temp file + rename);
+// corruption, truncation or version skew degrades to a cache miss, never
+// to a wrong result. Total size is bounded by an LRU cap: reads refresh an
+// entry's mtime, and writes evict least-recently-used entries.
 package simcache
 
 import (
 	"encoding"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -35,8 +37,9 @@ import (
 // SchemaVersion names the on-disk entry layout and the keying scheme. Bump
 // it whenever either changes incompatibly; old entries then miss and are
 // eventually evicted. Version 2 replaced the JSON key encoding with the
-// binary one in Key.
-const SchemaVersion = "depburst-simcache/2"
+// binary one in Key; version 3 moved the manifest from a sidecar file into
+// the entry's frame.
+const SchemaVersion = "depburst-simcache/3"
 
 // DefaultMaxBytes is the default LRU size cap (4 GiB).
 const DefaultMaxBytes = 4 << 30
@@ -45,24 +48,20 @@ const DefaultMaxBytes = 4 << 30
 // the directory (temp files, stray content) is ignored by Get and eviction.
 const entryExt = ".sce"
 
-// metaExt is the filename extension of metadata sidecars: small framed JSON
-// records describing the inputs of the entry with the same key. Sidecars
-// make the corpus scannable — the content hash alone is not invertible back
-// to the (config, spec) that produced an entry. They ride along with their
-// entry: evicting or purging an entry removes its sidecar too, and a
-// sidecar without a live entry is simply ignored.
-const metaExt = ".scm"
-
-// Entry header: magic, format version, payload length, payload CRC.
+// Entry frame: magic, format version, manifest length, payload length, one
+// CRC-32 over manifest‖payload, then the manifest and the payload.
 var entryMagic = [4]byte{'D', 'B', 'S', 'C'}
 
-const entryVersion uint32 = 1
+const entryVersion uint32 = 2
 
-const headerSize = 4 + 4 + 8 + 4 // magic + version + length + crc32
+const headerSize = 4 + 4 + 8 + 8 + 4
 
 // Stats counts store traffic since Open.
 type Stats struct {
 	Hits, Misses, Puts, Evictions uint64
+	// PutErrors counts Put and PutMeta calls that returned an error: a
+	// value that would not encode, or a write the directory refused.
+	PutErrors uint64
 }
 
 // Store is one cache directory. It is safe for concurrent use by multiple
@@ -71,6 +70,9 @@ type Stats struct {
 type Store struct {
 	dir      string
 	maxBytes int64
+
+	// warn reports the store's first failed write.
+	warn sync.Once
 
 	mu sync.Mutex
 	//depburst:guardedby mu
@@ -106,102 +108,118 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+entryExt)
 }
 
-func (s *Store) metaPath(key string) string {
-	return filepath.Join(s.dir, key+metaExt)
+// Get decodes the entry for key into out and reports whether it was
+// served, ignoring any manifest the entry carries. Every failure mode —
+// absent, truncated, corrupted, or written by an incompatible format
+// version — returns false; damaged entries, and entries out rejects, are
+// deleted so they stop occupying the budget. out should decode into a
+// scratch value and assign itself only on success, as *sim.Result does, so
+// a miss leaves it untouched.
+func (s *Store) Get(key string, out encoding.BinaryUnmarshaler) bool {
+	_, ok := s.GetMeta(key, out)
+	return ok
 }
 
-// Get decodes the entry for key into out and reports whether it was
-// served. Every failure mode — absent, truncated, corrupted, or written by
-// an incompatible format version — returns false; damaged entries, and
-// entries out rejects, are deleted (with their sidecars) so they stop
-// occupying the budget. out should decode into a scratch value and assign
-// itself only on success, as *sim.Result does, so a miss leaves it
-// untouched.
-func (s *Store) Get(key string, out encoding.BinaryUnmarshaler) bool {
+// GetMeta is Get that also returns the entry's manifest (empty when it was
+// written without one). One read of one file serves both, under one
+// checksum.
+func (s *Store) GetMeta(key string, out encoding.BinaryUnmarshaler) ([]byte, bool) {
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		s.count(func(st *Stats) { st.Misses++ })
-		return false
+		return nil, false
 	}
-	payload, ok := checkEntry(raw)
-	if !ok {
-		os.Remove(path) // damaged or foreign: purge, best effort
-		os.Remove(s.metaPath(key))
+	meta, payload, ok := unframe(raw)
+	if !ok || out.UnmarshalBinary(payload) != nil {
+		os.Remove(path) // damaged, foreign or rejected: purge, best effort
 		s.count(func(st *Stats) { st.Misses++ })
-		return false
-	}
-	if err := out.UnmarshalBinary(payload); err != nil {
-		os.Remove(path)
-		os.Remove(s.metaPath(key))
-		s.count(func(st *Stats) { st.Misses++ })
-		return false
+		return nil, false
 	}
 	// Refresh recency for the LRU cap, best effort.
 	now := time.Now() //depburst:allow determinism -- LRU recency stamp; cache hits return byte-identical payloads regardless
 	os.Chtimes(path, now, now)
 	s.count(func(st *Stats) { st.Hits++ })
-	return true
+	return meta, true
 }
 
-// checkEntry validates the framing and checksum of a raw entry and returns
-// its payload.
-func checkEntry(raw []byte) ([]byte, bool) {
-	if len(raw) < headerSize {
-		return nil, false
-	}
-	if [4]byte(raw[:4]) != entryMagic {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != entryVersion {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(raw[8:16])
-	payload := raw[headerSize:]
-	if uint64(len(payload)) != n {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[16:20]) != crc32.ChecksumIEEE(payload) {
-		return nil, false
-	}
-	return payload, true
+// header returns the frame header of an entry holding meta and payload.
+func header(meta, payload []byte) [headerSize]byte {
+	var hdr [headerSize]byte
+	copy(hdr[:4], entryMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], entryVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(meta)))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Update(crc32.ChecksumIEEE(meta), crc32.IEEETable, payload))
+	return hdr
 }
 
-// Put encodes val and installs it under key atomically: the entry is
-// staged in a temp file in the same directory and renamed into place, so
-// readers (including other processes) only ever see complete entries.
+// unframe validates the framing and checksum of a raw entry and returns
+// its manifest and payload.
+func unframe(raw []byte) (meta, payload []byte, ok bool) {
+	if len(raw) < headerSize || [4]byte(raw[:4]) != entryMagic ||
+		binary.LittleEndian.Uint32(raw[4:8]) != entryVersion {
+		return nil, nil, false
+	}
+	m := binary.LittleEndian.Uint64(raw[8:16])
+	n := binary.LittleEndian.Uint64(raw[16:24])
+	body := raw[headerSize:]
+	if m > uint64(len(body)) || n != uint64(len(body))-m {
+		return nil, nil, false
+	}
+	if binary.LittleEndian.Uint32(raw[24:28]) != crc32.ChecksumIEEE(body) {
+		return nil, nil, false
+	}
+	return body[:m:m], body[m:], true
+}
+
+// Put is PutMeta without a manifest.
 func (s *Store) Put(key string, val encoding.BinaryMarshaler) error {
+	return s.PutMeta(key, val, nil)
+}
+
+// PutMeta encodes val and installs it under key, with manifest meta (nil:
+// none), as one entry. The entry is staged in a temp file in the same
+// directory and renamed into place, so readers (including other processes)
+// only ever see complete entries. Every failure is counted in
+// Stats.PutErrors, and the store's first is reported on stderr.
+func (s *Store) PutMeta(key string, val encoding.BinaryMarshaler, meta []byte) error {
+	err := s.put(key, val, meta)
+	if err != nil {
+		s.count(func(st *Stats) { st.PutErrors++ })
+		s.warn.Do(func() {
+			fmt.Fprintf(os.Stderr, "%v (the cache's first failed write; later ones are only counted)\n", err)
+		})
+	}
+	return err
+}
+
+func (s *Store) put(key string, val encoding.BinaryMarshaler, meta []byte) error {
 	payload, err := val.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("simcache: encode: %w", err)
 	}
-	if err := s.install(s.path(key), payload); err != nil {
+	if err := s.install(s.path(key), meta, payload); err != nil {
 		return err
 	}
 	s.count(func(st *Stats) { st.Puts++ })
 	return s.evictOver()
 }
 
-// install frames payload (magic, version, length, CRC) and renames it into
-// place atomically.
-func (s *Store) install(dst string, payload []byte) error {
-	var hdr [headerSize]byte
-	copy(hdr[:4], entryMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], entryVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload))
-
+// install frames meta and payload and renames the entry into place
+// atomically.
+func (s *Store) install(dst string, meta, payload []byte) error {
+	hdr := header(meta, payload)
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(payload)
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("simcache: write: %w", err)
+	for _, b := range [][]byte{hdr[:], meta, payload} {
+		if _, err = tmp.Write(b); err != nil {
+			tmp.Close()
+			return fmt.Errorf("simcache: write: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("simcache: %w", err)
@@ -212,84 +230,47 @@ func (s *Store) install(dst string, payload []byte) error {
 	return nil
 }
 
-// PutMeta installs a metadata sidecar for key: a framed, checksummed JSON
-// record of meta (struct fields in declaration order — no maps), written
-// atomically like an entry. Sidecars are tiny and excluded from the LRU
-// byte budget, but eviction and purge remove them together with their
-// entry.
-func (s *Store) PutMeta(key string, meta any) error {
-	payload, err := json.Marshal(meta)
+// walk lists the directory's entries and their byte total. Temp and
+// foreign files are not entries, and an entry removed between the listing
+// and its stat is skipped.
+func (s *Store) walk() ([]fs.FileInfo, int64, error) {
+	des, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("simcache: meta encode: %w", err)
+		return nil, 0, err
 	}
-	return s.install(s.metaPath(key), payload)
-}
-
-// GetMeta decodes the metadata sidecar for key into out and reports whether
-// it was served. Absent, truncated, corrupted or version-skewed sidecars
-// return false; damaged ones are purged, best effort.
-func (s *Store) GetMeta(key string, out any) bool {
-	path := s.metaPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return false
+	var ents []fs.FileInfo
+	var total int64
+	for _, de := range des {
+		if filepath.Ext(de.Name()) != entryExt {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			ents = append(ents, info)
+			total += info.Size()
+		}
 	}
-	payload, ok := checkEntry(raw)
-	if !ok {
-		os.Remove(path)
-		return false
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		os.Remove(path)
-		return false
-	}
-	return true
-}
-
-// HasMeta reports whether key has a metadata sidecar on disk (without
-// validating it; GetMeta does that).
-func (s *Store) HasMeta(key string) bool {
-	_, err := os.Stat(s.metaPath(key))
-	return err == nil
+	return ents, total, nil
 }
 
 // Keys returns the content keys of the live entries, sorted, so corpus
 // scans are deterministic regardless of directory order.
 func (s *Store) Keys() ([]string, error) {
-	des, err := os.ReadDir(s.dir)
+	ents, _, err := s.walk()
 	if err != nil {
 		return nil, err
 	}
-	var keys []string
-	for _, de := range des {
-		name := de.Name()
-		if filepath.Ext(name) != entryExt {
-			continue
-		}
-		keys = append(keys, name[:len(name)-len(entryExt)])
+	keys := make([]string, len(ents))
+	for i, e := range ents {
+		keys[i] = strings.TrimSuffix(e.Name(), entryExt)
 	}
 	sort.Strings(keys)
 	return keys, nil
 }
 
-// Size scans the directory and returns the live entry count and byte total.
+// Size walks the directory and returns the live entry count and byte total.
 func (s *Store) Size() (entries int, bytes int64, err error) {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, de := range des {
-		if filepath.Ext(de.Name()) != entryExt {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		entries++
-		bytes += info.Size()
-	}
-	return entries, bytes, nil
+	ents, total, err := s.walk()
+	return len(ents), total, err
 }
 
 // evictOver enforces the LRU cap: while the directory exceeds maxBytes,
@@ -297,41 +278,18 @@ func (s *Store) Size() (entries int, bytes int64, err error) {
 func (s *Store) evictOver() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
+	ents, total, err := s.walk()
+	if err != nil || total <= s.maxBytes {
 		return err
 	}
-	type ent struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var ents []ent
-	var total int64
-	for _, de := range des {
-		if filepath.Ext(de.Name()) != entryExt {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		ents = append(ents, ent{filepath.Join(s.dir, de.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	if total <= s.maxBytes {
-		return nil
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].mtime.Before(ents[j].mtime) })
+	sort.Slice(ents, func(i, j int) bool { return ents[i].ModTime().Before(ents[j].ModTime()) })
 	for _, e := range ents {
 		if total <= s.maxBytes {
 			break
 		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
+		if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
+			total -= e.Size()
 			s.stats.Evictions++
-			// The sidecar goes with its entry; without one this is a no-op.
-			os.Remove(e.path[:len(e.path)-len(entryExt)] + metaExt)
 		}
 	}
 	return nil

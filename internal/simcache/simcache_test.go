@@ -1,6 +1,8 @@
 package simcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -168,6 +170,23 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			path := corruptEntry(t, dir, 0, func([]byte) {})
 			os.WriteFile(path, nil, 0o644)
 		}},
+		{"manifest-bitflip", func(t *testing.T, dir string) {
+			corruptEntry(t, dir, headerSize+1, nil)
+		}},
+		{"meta-length-past-end", func(t *testing.T, dir string) {
+			// The payload length wraps so that the two lengths still sum
+			// to the body's, and the checksum still matches the body.
+			corruptEntry(t, dir, 0, func(raw []byte) {
+				m := uint64(len(raw))
+				binary.LittleEndian.PutUint64(raw[8:16], m)
+				binary.LittleEndian.PutUint64(raw[16:24], uint64(len(raw)-headerSize)-m)
+			})
+		}},
+		{"truncated-manifest", func(t *testing.T, dir string) {
+			path := corruptEntry(t, dir, 0, func([]byte) {})
+			raw, _ := os.ReadFile(path)
+			os.WriteFile(path, raw[:headerSize+len(testMeta)/2], 0o644)
+		}},
 		{"garbage-payload", func(t *testing.T, dir string) {
 			// Valid framing around a payload the value's decoder
 			// rejects: rewrite the entry from whole cloth with a
@@ -183,7 +202,7 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := open(t, 0)
 			key, _ := Key("truth", tc.name)
-			if err := s.Put(key, testPayload()); err != nil {
+			if err := s.PutMeta(key, testPayload(), testMeta); err != nil {
 				t.Fatal(err)
 			}
 			tc.mutate(t, s.Dir())
@@ -191,7 +210,10 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			if s.Get(key, &got) {
 				t.Fatal("damaged entry served as a hit")
 			}
-			// The damaged entry is purged, and a re-Put re-serves.
+			if entries, _, _ := s.Size(); entries != 0 {
+				t.Fatal("damaged entry not purged")
+			}
+			// A re-Put re-serves.
 			if err := s.Put(key, testPayload()); err != nil {
 				t.Fatal(err)
 			}
@@ -213,8 +235,8 @@ func TestPutEncodeErrorInstallsNothing(t *testing.T) {
 	if entries, _, _ := s.Size(); entries != 0 {
 		t.Errorf("failed Put left %d entries", entries)
 	}
-	if st := s.Stats(); st.Puts != 0 {
-		t.Errorf("failed Put counted: %+v", st)
+	if st := s.Stats(); st.Puts != 0 || st.PutErrors != 1 {
+		t.Errorf("stats %+v; want no puts and one put error", st)
 	}
 }
 
@@ -348,147 +370,142 @@ func ExampleStore() {
 	// Output: true 42
 }
 
-// meta is a stand-in for a surrogate training manifest.
-type meta struct {
-	Kind  string
-	Bench string
-	MHz   int64
-}
+// testMeta stands in for a surrogate training manifest: opaque bytes to
+// the store.
+var testMeta = []byte(`{"kind":"truth","bench":"xalan","mhz":1000}`)
 
+// TestMetaRoundTrip: GetMeta returns the manifest PutMeta wrote beside the
+// value, Get decodes the same entry identically, an entry Put without a
+// manifest has an empty one, and each entry is one file.
 func TestMetaRoundTrip(t *testing.T) {
 	s := open(t, 0)
 	key, _ := Key("truth", 1)
-	if s.HasMeta(key) || s.GetMeta(key, &meta{}) {
-		t.Fatal("meta served before PutMeta")
+	if _, ok := s.GetMeta(key, &payload{}); ok {
+		t.Fatal("manifest served before PutMeta")
 	}
-	want := meta{Kind: "truth", Bench: "xalan", MHz: 1000}
-	if err := s.PutMeta(key, want); err != nil {
+	want := testPayload()
+	if err := s.PutMeta(key, want, testMeta); err != nil {
 		t.Fatal(err)
 	}
-	if !s.HasMeta(key) {
-		t.Fatal("HasMeta false after PutMeta")
+	var got, plain payload
+	meta, ok := s.GetMeta(key, &got)
+	if !ok || !bytes.Equal(meta, testMeta) {
+		t.Fatalf("GetMeta = %q, %v; want %q", meta, ok, testMeta)
 	}
-	var got meta
-	if !s.GetMeta(key, &got) {
-		t.Fatal("GetMeta missed after PutMeta")
+	if !s.Get(key, &plain) || !reflect.DeepEqual(got, plain) || !reflect.DeepEqual(got, want) {
+		t.Errorf("GetMeta decoded %+v, Get %+v, want %+v", got, plain, want)
 	}
-	if got != want {
-		t.Fatalf("meta round trip: got %+v, want %+v", got, want)
+	bare, _ := Key("truth", 2)
+	if err := s.Put(bare, want); err != nil {
+		t.Fatal(err)
+	}
+	if meta, ok := s.GetMeta(bare, &got); !ok || len(meta) != 0 {
+		t.Errorf("entry Put without a manifest: GetMeta = %q, %v", meta, ok)
+	}
+	des, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 2 {
+		t.Errorf("two entries left %d files", len(des))
 	}
 }
 
+// TestMetaCorruptionPurged: every damage to an entry with a manifest makes
+// GetMeta a miss that returns no manifest and purges the file.
 func TestMetaCorruptionPurged(t *testing.T) {
 	corruptions := map[string]func(raw []byte) []byte{
 		"truncated": func(raw []byte) []byte { return raw[:len(raw)-3] },
 		"badmagic":  func(raw []byte) []byte { raw[0] ^= 0xff; return raw },
 		"badver":    func(raw []byte) []byte { raw[5] ^= 0x01; return raw },
-		"flipped":   func(raw []byte) []byte { raw[len(raw)-1] ^= 0x01; return raw },
-		"notjson":   func(raw []byte) []byte { return frame([]byte("{oops")) },
-		"header":    func(raw []byte) []byte { return raw[:5] },
+		"flipped":   func(raw []byte) []byte { raw[headerSize] ^= 0x01; return raw },
+		// A sound frame whose payload the value's decoder (JSON, for the
+		// test payload) rejects.
+		"notjson": func(raw []byte) []byte { return frame(testMeta, []byte("{oops")) },
+		"header":  func(raw []byte) []byte { return raw[:5] },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			s := open(t, 0)
 			key, _ := Key("truth", name)
-			if err := s.PutMeta(key, meta{Kind: "truth"}); err != nil {
+			if err := s.PutMeta(key, testPayload(), testMeta); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(s.metaPath(key))
+			raw, err := os.ReadFile(s.path(key))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(s.metaPath(key), corrupt(raw), 0o644); err != nil {
+			if err := os.WriteFile(s.path(key), corrupt(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if s.GetMeta(key, &meta{}) {
-				t.Fatal("corrupted meta served")
+			if meta, ok := s.GetMeta(key, &payload{}); ok || meta != nil {
+				t.Fatalf("corrupted entry served (manifest %q)", meta)
 			}
-			if _, err := os.Stat(s.metaPath(key)); !os.IsNotExist(err) {
-				t.Error("corrupted meta not purged")
+			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
+				t.Error("corrupted entry not purged")
 			}
 		})
 	}
 }
 
-// frame wraps payload in valid entry framing, for tests that need a
-// well-framed but semantically broken file.
-func frame(payload []byte) []byte {
-	s := &Store{}
-	dir, err := os.MkdirTemp("", "simcache-frame-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	s.dir = dir
-	path := filepath.Join(dir, "f")
-	if err := s.install(path, payload); err != nil {
-		panic(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		panic(err)
-	}
-	return raw
+// frame returns the entry file holding meta and payload.
+func frame(meta, payload []byte) []byte {
+	hdr := header(meta, payload)
+	return append(append(hdr[:], meta...), payload...)
 }
 
-func TestDamagedEntryPurgesMeta(t *testing.T) {
-	s := open(t, 0)
-	key, _ := Key("truth", 7)
-	if err := s.Put(key, testPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutMeta(key, meta{Kind: "truth"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(key), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s.Get(key, &payload{}) {
-		t.Fatal("damaged entry served")
-	}
-	if s.HasMeta(key) {
-		t.Error("meta survived its damaged entry")
-	}
+// FuzzEntryFrame: unframe never panics on arbitrary bytes, and any entry it
+// accepts re-frames from its manifest and payload to the same bytes, so
+// the frame has one encoding and the checksum covers all of it. Its seeds
+// (testdata/fuzz) are frames with and without a manifest, a version-1
+// frame, truncations, and a manifest length past the end whose payload
+// length wraps to match.
+func FuzzEntryFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		meta, payload, ok := unframe(raw)
+		if !ok {
+			return
+		}
+		if again := frame(meta, payload); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted %x, which re-frames to %x", raw, again)
+		}
+	})
 }
 
-func TestEvictionRemovesMeta(t *testing.T) {
-	s := open(t, 0)
-	var keys []string
-	for i := 0; i < 4; i++ {
-		k, _ := Key("entry", i)
-		keys = append(keys, k)
-		if err := s.Put(k, testPayload()); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PutMeta(k, meta{Kind: "truth", MHz: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		mt := time.Now().Add(time.Duration(i-10) * time.Hour)
-		if err := os.Chtimes(s.path(k), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, total, err := s.Size()
+// TestSharedDirectoryStaysUnderCap: two stores on one directory take turns
+// writing until each has written more than the cap; each Put's eviction
+// walk counts the other store's entries too, so the directory ends within
+// the cap.
+func TestSharedDirectoryStaysUnderCap(t *testing.T) {
+	dir := t.TempDir()
+	probe, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four entries fit exactly; the fifth Put overflows by one entry and
-	// evicts exactly the oldest.
-	s.maxBytes = total
-	k, _ := Key("entry", 99)
-	if err := s.Put(k, testPayload()); err != nil {
+	k, _ := Key("probe")
+	if err := probe.Put(k, testPayload()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Get(keys[0], &payload{}) {
-		t.Fatal("oldest entry not evicted")
+	_, perEntry, err := probe.Size()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.HasMeta(keys[0]) {
-		t.Error("evicted entry's meta left behind")
+	limit := 4*perEntry + perEntry/2
+	a, errA := Open(dir, limit)
+	b, errB := Open(dir, limit)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
-	for _, k := range keys[1:] {
-		if !s.HasMeta(k) {
-			t.Error("surviving entry lost its meta")
+	for i, written := 0, int64(0); written <= limit; i, written = i+1, written+perEntry {
+		for j, s := range []*Store{a, b} {
+			k, _ := Key("shared", i, j)
+			if err := s.Put(k, testPayload()); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if _, total, err := a.Size(); err != nil || total > limit {
+		t.Errorf("shared directory holds %d bytes, cap %d (%v)", total, limit, err)
 	}
 }
 
@@ -502,13 +519,11 @@ func TestKeysSortedLiveEntries(t *testing.T) {
 		}
 		want[k] = true
 	}
-	// Meta sidecars, temp droppings and foreign files are not entries.
-	k, _ := Key("meta-only", 1)
-	if err := s.PutMeta(k, meta{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(s.dir, "README"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
+	// Temp droppings and foreign files are not entries.
+	for _, name := range []string{".tmp-123", "README"} {
+		if err := os.WriteFile(filepath.Join(s.dir, name), []byte("hi"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	keys, err := s.Keys()
 	if err != nil {

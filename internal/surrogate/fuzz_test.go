@@ -1,18 +1,17 @@
 package surrogate
 
 import (
-	"encoding/json"
 	"testing"
 
 	"depburst/internal/dacapo"
 )
 
 // FuzzSurrogateDecode throws arbitrary bytes at the surrogate's untrusted
-// input surface: the manifest the corpus scanner json-decodes out of each
-// sidecar (the framing around it is simcache's checkEntry, exercised by
-// its corruption wall). Whatever decodes is fed through the whole training
-// surface, which must absorb or reject it without panicking, and a sampled
-// manifest must never train the model. The checked-in corpus keeps byte
+// input surface: the manifest the corpus scanner decodes out of each cache
+// entry (the frame around it is simcache's, fuzzed by FuzzEntryFrame).
+// Whatever decodes is fed through the whole training surface, which must
+// absorb or reject it without panicking, and a sampled manifest must never
+// train the model. The checked-in corpus keeps byte
 // strings that are not manifests at all, so the rejection path stays
 // covered. The on-disk skip-and-continue behaviour of Scan itself is
 // covered by TestScanCorpus.
@@ -23,7 +22,7 @@ func FuzzSurrogateDecode(f *testing.F) {
 		if mutate != nil {
 			mutate(&m)
 		}
-		raw, err := json.Marshal(m)
+		raw, err := m.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -40,7 +39,7 @@ func FuzzSurrogateDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var man Manifest
-		if err := json.Unmarshal(data, &man); err != nil {
+		if err := man.UnmarshalBinary(data); err != nil {
 			return
 		}
 		cfg, sp := man.Config, man.Spec

@@ -20,6 +20,8 @@
 package surrogate
 
 import (
+	"encoding/json"
+
 	"depburst/internal/dacapo"
 	"depburst/internal/sim"
 	"depburst/internal/simcache"
@@ -30,10 +32,10 @@ import (
 // the only kind the trainer consumes today.
 const KindTruth = "truth"
 
-// Manifest is the metadata-sidecar record written next to each cached
-// truth entry (simcache.PutMeta): the inputs that produced the entry, which
-// the content hash alone cannot be inverted back into. It is what makes
-// the cache a scannable training corpus.
+// Manifest is the record each cached truth entry carries in its frame
+// (simcache.PutMeta): the inputs that produced the entry, which the
+// content hash alone cannot be inverted back into. It is what makes the
+// cache a scannable training corpus.
 type Manifest struct {
 	Kind   string      `json:"kind"`
 	Config sim.Config  `json:"config"`
@@ -47,6 +49,13 @@ func NewTruthManifest(cfg sim.Config, spec dacapo.Spec) Manifest {
 	cfg.Metrics = nil
 	return Manifest{Kind: KindTruth, Config: cfg, Spec: spec}
 }
+
+// MarshalBinary encodes the manifest as JSON, the bytes a cache entry
+// carries.
+func (m Manifest) MarshalBinary() ([]byte, error) { return json.Marshal(m) }
+
+// UnmarshalBinary decodes a manifest MarshalBinary encoded.
+func (m *Manifest) UnmarshalBinary(b []byte) error { return json.Unmarshal(b, m) }
 
 // GroupID is the content address of the manifest's frequency-independent
 // inputs: two runs share a group exactly when they differ only in

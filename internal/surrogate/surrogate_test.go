@@ -243,47 +243,57 @@ func TestScanCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	put := func(name string, m *Manifest) {
+		t.Helper()
+		key, _ := simcache.Key(name)
+		var meta []byte
+		if m != nil {
+			var err error
+			if meta, err = m.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.PutMeta(key, &sim.Result{Workload: name, Time: 1}, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
 	suite := dacapo.Suite()[:3]
 	want := 0
-	for i, spec := range suite {
+	for _, spec := range suite {
 		for _, f := range trainFreqs {
 			key, err := simcache.Key("truth", spec.Name, int64(f))
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := sim.Result{Workload: spec.Name, Freq: f, Time: synthTime(spec, f)}
-			if err := st.Put(key, &res); err != nil {
+			meta, err := NewTruthManifest(synthConfig(spec, f), spec).MarshalBinary()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 2 && f == trainFreqs[0] {
-				continue // one entry without a sidecar: skipped
-			}
-			if err := st.PutMeta(key, NewTruthManifest(synthConfig(spec, f), spec)); err != nil {
+			if err := st.PutMeta(key, &res, meta); err != nil {
 				t.Fatal(err)
 			}
 			want++
 		}
 	}
-	// Distractors, all skipped: a sidecar without an entry, a non-truth
-	// manifest, a sampled-mode manifest, and a damaged sidecar.
-	orphan, _ := simcache.Key("orphan")
-	if err := st.PutMeta(orphan, NewTruthManifest(synthConfig(suite[0], 1000), suite[0])); err != nil {
-		t.Fatal(err)
-	}
-	foreign, _ := simcache.Key("foreign")
-	st.Put(foreign, &sim.Result{Time: 1})
+	// Distractors, all skipped: an entry without a manifest, one with a
+	// non-truth manifest, one with a sampled-mode manifest, one whose
+	// manifest is not a manifest, and a damaged one.
+	put("bare", nil)
 	mf := NewTruthManifest(synthConfig(suite[0], 1500), suite[0])
 	mf.Kind = "managed"
-	st.PutMeta(foreign, mf)
-	sampled, _ := simcache.Key("sampled")
-	st.Put(sampled, &sim.Result{Time: 1})
+	put("foreign", &mf)
 	smf := NewTruthManifest(synthConfig(suite[0], 1500), suite[0])
 	smf.Config.Sampling.Enabled = true
-	st.PutMeta(sampled, smf)
+	put("sampled", &smf)
+	junk, _ := simcache.Key("junk")
+	if err := st.PutMeta(junk, &sim.Result{Time: 1}, []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
+	dmf := NewTruthManifest(synthConfig(suite[1], 1500), suite[1])
+	put("damaged", &dmf)
 	damaged, _ := simcache.Key("damaged")
-	st.Put(damaged, &sim.Result{Time: 1})
-	st.PutMeta(damaged, NewTruthManifest(synthConfig(suite[1], 1500), suite[1]))
-	if err := os.WriteFile(filepath.Join(st.Dir(), damaged+".scm"), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(st.Dir(), damaged+".sce"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
