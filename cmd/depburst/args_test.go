@@ -99,3 +99,19 @@ func TestUnknownCommandExits2(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownAnalyzerExits2: an analyzer lint does not have, such as the
+// retired golife or the empty name a trailing comma leaves, is a usage
+// error. Lint exits 2 naming it and the suite, before loading any package.
+func TestUnknownAnalyzerExits2(t *testing.T) {
+	for _, tc := range []struct{ list, name string }{
+		{"golife", "golife"},
+		{"lockdisc,", ""},
+	} {
+		code, stdout, stderr := depburst(t, "lint", "-analyzers", tc.list, "-C", filepath.Join("..", ".."), "./internal/units")
+		want := fmt.Sprintf("unknown analyzer %q (known: determinism, hotpath, ctxflow, goldenio, lockdisc)", tc.name)
+		if code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+			t.Errorf("-analyzers %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", tc.list, code, stdout, stderr, want)
+		}
+	}
+}

@@ -35,6 +35,11 @@ func cmdLint(args []string) {
 	}
 	if *only != "" {
 		cfg.Analyzers = strings.Split(*only, ",")
+		// An unknown name is a usage error, reported before anything loads.
+		if _, err := analysis.ByName(cfg.Analyzers); err != nil {
+			fmt.Fprintf(os.Stderr, "depburst lint: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	count, err := analysis.Lint(cfg, os.Stdout)
 	if err != nil {

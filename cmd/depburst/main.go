@@ -170,7 +170,8 @@ commands:
                     reports per-tier serving counts when exposed
   lint [-json] [-fix-hints] [-analyzers LIST] [-C DIR] [packages]
                     run the repo's static-analysis suite (determinism,
-                    hotpath, ctxflow, nilreg, goldenio); exits 1 on findings
+                    hotpath, ctxflow, goldenio, lockdisc); exits 1 on
+                    findings, 2 on an unknown analyzer
 `)
 	os.Exit(2)
 }

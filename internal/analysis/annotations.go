@@ -14,11 +14,6 @@ const (
 	// root; the hotpath analyzer checks it and its statically-resolved
 	// module callees.
 	directiveHotPath = "//depburst:hotpath"
-	// directiveNilTolerant asserts a registry method tolerates a nil
-	// receiver by construction (e.g. it only delegates to guarded
-	// methods); the nilreg analyzer trusts it instead of requiring a
-	// leading nil guard.
-	directiveNilTolerant = "//depburst:niltolerant"
 	// directiveGuardedBy marks a struct field as protected by a sibling
 	// mutex field:
 	//
@@ -36,14 +31,6 @@ const (
 	// lockdisc analyzes the body as if <mu> were write-held on entry. The
 	// call-site obligation is the caller's, documented by the annotation.
 	directiveLocked = "//depburst:locked"
-	// directiveDaemon sanctions one go statement as an intentionally
-	// process-lifetime goroutine:
-	//
-	//	//depburst:daemon -- <reason>
-	//
-	// on the go statement's line or the line above. The reason is mandatory;
-	// golife ignores the directive without one.
-	directiveDaemon = "//depburst:daemon"
 	// directiveAllow suppresses one analyzer on the line it annotates:
 	//
 	//	//depburst:allow <analyzer> <reason...>

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// These tests pin the branch behavior of the concurrency analyzers on the
-// statement and expression forms the fixtures do not reach: every compound
-// statement kind under a held lock, closures in call-argument position,
-// named-function goroutines, and package-level atomics. Each source is a
-// complete module; wantFindings asserts the exact diagnostics in source
-// order (the driver sorts by position).
+// These tests pin the branch behavior of lockdisc on the statement and
+// expression forms the fixtures do not reach: every compound statement kind
+// under a held lock, closures in call-argument position, index writes and
+// imposter locks. Each source is a complete module; wantFindings asserts
+// the exact diagnostics in source order (the driver sorts by position).
 
 func runOn(t *testing.T, src string, ans ...*Analyzer) []Diagnostic {
 	t.Helper()
@@ -208,242 +207,5 @@ func (o *odd) Use() {
 	wantFindings(t, runOn(t, src, LockDisc),
 		"write to cells guarded by g.mu without holding the lock",
 		"write to x guarded by o.mu without holding the lock",
-	)
-}
-
-// TestGoLifeNamedAndNested: go statements over named module functions are
-// resolved to their declarations; function values stay dynamic. A break
-// inside a nested bounded loop does not exit the outer unbounded one, while
-// a receive-and-break in the loop itself does. A custom Done method counts
-// as a join.
-func TestGoLifeNamedAndNested(t *testing.T) {
-	src := `package export
-
-func spin() {
-	for {
-	}
-}
-
-func step() {}
-
-func SpawnNamed() { go spin() }
-
-func SpawnStep() { go step() }
-
-func SpawnDyn(f func()) { go f() }
-
-func DrainQuit(quit chan int) {
-	go func() {
-		for {
-			if _, ok := <-quit; !ok {
-				break
-			}
-		}
-	}()
-}
-
-func NestedBreak(ch chan int) {
-	go func() {
-		for {
-			for i := 0; i < 3; i++ {
-				break
-			}
-			<-ch
-		}
-	}()
-}
-
-type counter struct{}
-
-func (counter) Done() {}
-
-func JoinedCustom(c counter, ch chan int) {
-	go func() {
-		defer c.Done()
-		for {
-			<-ch
-		}
-	}()
-}
-`
-	wantFindings(t, runOn(t, src, GoLife),
-		"goroutine loop has no termination path",
-		"go statement spawns a dynamically-resolved function",
-		"goroutine loop has no termination path",
-	)
-}
-
-// TestGoLifeCapturedWriteBranches: every statement form inside a go closure
-// that can carry an unsynchronized captured write is flagged, and a write
-// wrapped in sync.Once.Do is not.
-func TestGoLifeCapturedWriteBranches(t *testing.T) {
-	src := `package export
-
-import "sync"
-
-func RacyBranch(ch chan int, mode int) {
-	hits := 0
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		switch mode {
-		case 1:
-			hits++
-		}
-		select {
-		case v := <-ch:
-			hits = v
-		}
-		if mode > 2 {
-			hits--
-		} else {
-			hits = 9
-		}
-		for range ch {
-			hits++
-		}
-	}()
-	wg.Wait()
-	_ = hits
-}
-
-func OnceFlag(n int) {
-	var once sync.Once
-	flag := 0
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		once.Do(func() { flag = n })
-	}()
-	wg.Wait()
-	_ = flag
-}
-`
-	wantFindings(t, runOn(t, src, GoLife),
-		"writes captured variable hits",
-		"writes captured variable hits",
-		"writes captured variable hits",
-		"writes captured variable hits",
-		"writes captured variable hits",
-	)
-}
-
-// TestChanProtoIdioms: the sanctioned shapes the fixture wall does not
-// cover — len/cap as neutral uses, escape through a function argument,
-// close-then-return inside a select case in a loop (one execution), closes
-// in mutually exclusive switch cases and select cases, and a close inside a
-// closure built in a loop (the closure boundary resets the iteration
-// context). All clean, under both chanproto and golife.
-func TestChanProtoIdioms(t *testing.T) {
-	src := `package export
-
-func Gauge(items []int) int {
-	ch := make(chan int, len(items))
-	for _, v := range items {
-		ch <- v
-	}
-	for range items {
-		<-ch
-	}
-	return len(ch) + cap(ch)
-}
-
-func Handoff(sink func(chan int)) {
-	ch := make(chan int)
-	sink(ch)
-	ch <- 1
-}
-
-func Fanin(done chan struct{}, src chan int) int {
-	out := make(chan int)
-	go func() {
-		for {
-			select {
-			case <-done:
-				close(out)
-				return
-			case v := <-src:
-				out <- v
-			}
-		}
-	}()
-	total := 0
-	for v := range out {
-		total += v
-	}
-	return total
-}
-
-func Modal(mode int) {
-	ch := make(chan int, 1)
-	ch <- mode
-	<-ch
-	switch mode {
-	case 0:
-		close(ch)
-	default:
-		close(ch)
-	}
-}
-
-func Either(a, b chan struct{}) {
-	ch := make(chan int, 1)
-	ch <- 1
-	<-ch
-	select {
-	case <-a:
-		close(ch)
-	case <-b:
-		close(ch)
-	}
-}
-
-func PerItem(items []int) {
-	ch := make(chan int, 1)
-	ch <- 1
-	<-ch
-	var closer func()
-	for range items {
-		closer = func() { close(ch) }
-	}
-	if closer != nil {
-		closer()
-	}
-}
-`
-	wantFindings(t, runOn(t, src, ChanProto, GoLife))
-}
-
-// TestAtomicPackageVars: the all-or-nothing rule applies to package-level
-// variables reached as bare identifiers, and each mutating context — plain
-// assignment, increment, address escape — is classified as a write.
-func TestAtomicPackageVars(t *testing.T) {
-	src := `package export
-
-import "sync/atomic"
-
-var hits int64
-
-func Bump() { atomic.AddInt64(&hits, 1) }
-
-func Read() int64 { return hits }
-
-var total int64
-
-func Add() { atomic.AddInt64(&total, 2) }
-
-func Reset() { total = 0 }
-
-func Inc() { total++ }
-
-func Leak() *int64 { return &total }
-`
-	wantFindings(t, runOn(t, src, AtomicCheck),
-		"plain read of hits",
-		"plain write of total",
-		"plain write of total",
-		"plain write of total",
 	)
 }

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// The concurrency mutation tests follow TestMutationUnsortedExport: each
-// source is correct as written and clean under its analyzer; deleting one
-// load-bearing line (a Lock call, a ctx.Done case, an atomic load) must
-// produce exactly one finding from exactly the analyzer that owns the
-// invariant. This proves each analyzer fires on its seeded violation and
-// nothing else.
+// The lock-discipline mutation tests follow TestMutationUnsortedExport: each
+// source is correct as written and clean under lockdisc; deleting one
+// load-bearing line (a Lock call, a //depburst:locked directive) or turning a
+// read into a write must produce exactly one lockdisc finding.
 
 const lockSrc = `package export
 
@@ -52,137 +50,6 @@ func TestMutationDeletedLock(t *testing.T) {
 	}
 	if !strings.Contains(diags[0].Message, "write to n") {
 		t.Errorf("finding should name the unguarded write: %s", diags[0].Message)
-	}
-}
-
-const ctxLoopSrc = `package export
-
-import "context"
-
-func Watch(ctx context.Context, work chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case v := <-work:
-				_ = v
-			}
-		}
-	}()
-}
-`
-
-func TestMutationDeletedCtxDone(t *testing.T) {
-	clean := writeModule(t, ctxLoopSrc)
-	diags, err := Run(clean, []string{"./..."}, []*Analyzer{GoLife})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("ctx-selecting loop should be clean, got: %+v", diags)
-	}
-
-	mutated := strings.Replace(ctxLoopSrc, "\t\t\tcase <-ctx.Done():\n\t\t\t\treturn\n", "", 1)
-	if mutated == ctxLoopSrc {
-		t.Fatal("mutation did not apply")
-	}
-	diags, err = Run(writeModule(t, mutated), []string{"./..."}, []*Analyzer{GoLife})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "golife" {
-		t.Fatalf("deleting the ctx.Done case should yield exactly one golife finding, got: %+v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "no termination path") {
-		t.Errorf("finding should name the missing exit: %s", diags[0].Message)
-	}
-}
-
-const atomicSrc = `package export
-
-import "sync/atomic"
-
-type stats struct {
-	hits int64
-}
-
-func (s *stats) Bump() {
-	atomic.AddInt64(&s.hits, 1)
-}
-
-func (s *stats) Read() int64 {
-	return atomic.LoadInt64(&s.hits)
-}
-`
-
-func TestMutationPlainAtomicRead(t *testing.T) {
-	clean := writeModule(t, atomicSrc)
-	diags, err := Run(clean, []string{"./..."}, []*Analyzer{AtomicCheck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("all-atomic stats should be clean, got: %+v", diags)
-	}
-
-	mutated := strings.Replace(atomicSrc, "atomic.LoadInt64(&s.hits)", "s.hits", 1)
-	if mutated == atomicSrc {
-		t.Fatal("mutation did not apply")
-	}
-	diags, err = Run(writeModule(t, mutated), []string{"./..."}, []*Analyzer{AtomicCheck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "atomiccheck" {
-		t.Fatalf("replacing the atomic load should yield exactly one atomiccheck finding, got: %+v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "plain read of hits") {
-		t.Errorf("finding should name the plain read: %s", diags[0].Message)
-	}
-}
-
-const pipeSrc = `package export
-
-func Drain(items []int) int {
-	ch := make(chan int)
-	go func() {
-		for _, v := range items {
-			ch <- v
-		}
-		close(ch)
-	}()
-	total := 0
-	for v := range ch {
-		total += v
-	}
-	return total
-}
-`
-
-func TestMutationDeletedReceive(t *testing.T) {
-	clean := writeModule(t, pipeSrc)
-	diags, err := Run(clean, []string{"./..."}, []*Analyzer{ChanProto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("producer/consumer pipeline should be clean, got: %+v", diags)
-	}
-
-	mutated := strings.Replace(pipeSrc, "\tfor v := range ch {\n\t\ttotal += v\n\t}\n", "", 1)
-	if mutated == pipeSrc {
-		t.Fatal("mutation did not apply")
-	}
-	diags, err = Run(writeModule(t, mutated), []string{"./..."}, []*Analyzer{ChanProto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "chanproto" {
-		t.Fatalf("deleting the receive loop should yield exactly one chanproto finding, got: %+v", diags)
-	}
-	if !strings.Contains(diags[0].Message, "no receive path") {
-		t.Errorf("finding should name the missing receive: %s", diags[0].Message)
 	}
 }
 

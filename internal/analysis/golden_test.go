@@ -24,12 +24,8 @@ var goldenCases = []struct {
 	{Determinism, []string{"./determinism"}},
 	{HotPath, []string{"./hotpath"}},
 	{CtxFlow, []string{"./ctxflow"}},
-	{NilReg, []string{"./nilreg/..."}},
 	{GoldenIO, []string{"./goldenio"}},
 	{LockDisc, []string{"./lockdisc"}},
-	{GoLife, []string{"./golife"}},
-	{AtomicCheck, []string{"./atomiccheck"}},
-	{ChanProto, []string{"./chanproto"}},
 }
 
 // renderDiags formats diagnostics the way the goldens store them.

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// GoldenIO polices the repo's export surfaces: golden files, BENCH records
+// GoldenIO polices the repo's export surfaces: golden files, metrics exports
 // and server documents are diffed byte-for-byte by the determinism walls, so
 // their encoded shape must be an explicitly ordered structure. Marshalling a
 // map delegates key ordering to the encoder — encoding/json happens to sort,

@@ -25,13 +25,13 @@ import (
 // while only an RLock is held are flagged separately — an RWMutex read lock
 // does not license mutation.
 //
-// The analysis is lexical, mirroring nilreg's nil-check tracking: lock state
-// is followed through the statement list in source order, branch-local
-// lock/unlock pairs are assumed balanced or terminal (a branch that unlocks
-// and returns does not release the fall-through path), and closures and go
-// statements start with no locks held. Accesses through a local variable
-// freshly allocated in the same function (`s := &Server{...}`) are exempt:
-// the value has not escaped yet, so construction needs no lock.
+// The analysis is lexical: lock state is followed through the statement
+// list in source order, branch-local lock/unlock pairs are assumed balanced
+// or terminal (a branch that unlocks and returns does not release the
+// fall-through path), and closures and go statements start with no locks
+// held. Accesses through a local variable freshly allocated in the same
+// function (`s := &Server{...}`) are exempt: the value has not escaped yet,
+// so construction needs no lock.
 var LockDisc = &Analyzer{
 	Name: "lockdisc",
 	Doc:  "//depburst:guardedby fields must only be accessed under their mutex",
@@ -648,5 +648,5 @@ func (w *lockWalker) parentOf(target ast.Node) ast.Node {
 }
 
 // Also checked by lockdisc: calls to functions annotated //depburst:locked
-// are trusted, not verified — the annotation documents a caller contract the
-// reviewer checks, exactly like //depburst:niltolerant.
+// are trusted, not verified — the annotation documents a caller contract
+// that code review checks.

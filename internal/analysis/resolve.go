@@ -56,6 +56,20 @@ func isConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
 	return tv.Type, true
 }
 
+// exprKey renders simple receiver expressions (r, m.reg, s.cfg.Metrics) for
+// structural comparison; unrepresentable shapes yield "".
+func exprKey(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if x := exprKey(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
+
 // pointerShaped reports whether values of t are stored directly in an
 // interface word, so converting them to an interface does not allocate.
 func pointerShaped(t types.Type) bool {

@@ -1,7 +1,7 @@
 // Package clean is the negative fixture: every analyzer must pass it with
 // zero diagnostics. It leans on each analyzer's sanctioned idioms at once —
-// sorted map exports, reusing hot-path storage, threaded contexts, guarded
-// registries, and struct-shaped documents.
+// sorted map exports, reusing hot-path storage, threaded contexts, and
+// struct-shaped documents.
 package clean
 
 import (
@@ -9,17 +9,6 @@ import (
 	"encoding/json"
 	"sort"
 )
-
-// Registry is guarded like the real metrics registry.
-type Registry struct{ n int }
-
-// Bump tolerates nil.
-func (r *Registry) Bump() {
-	if r == nil {
-		return
-	}
-	r.n++
-}
 
 // Export is the canonical deterministic map export.
 func Export(m map[string]int) ([]byte, error) {
@@ -56,7 +45,7 @@ func (e *Engine) Push(v int) {
 }
 
 // Runner threads its context everywhere.
-type Runner struct{ reg *Registry }
+type Runner struct{}
 
 // Run is the context-free core.
 func (r *Runner) Run() int { return 1 }
@@ -69,10 +58,7 @@ func (r *Runner) RunContext(ctx context.Context) int {
 	return r.Run()
 }
 
-// Drive passes ctx through and guards its registry use.
+// Drive passes ctx through.
 func Drive(ctx context.Context, r *Runner) int {
-	if r.reg != nil {
-		r.reg.Bump()
-	}
 	return r.RunContext(ctx)
 }

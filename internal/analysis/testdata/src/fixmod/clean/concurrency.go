@@ -1,12 +1,8 @@
-// Sanctioned concurrency idioms: the lockdisc/golife/atomiccheck/chanproto
-// analyzers must all pass this file with zero diagnostics.
+// Sanctioned lock-discipline idioms: lockdisc must pass this file with zero
+// diagnostics.
 package clean
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Store is the canonical guarded aggregate: annotated fields, defer-unlock
 // accessors, a caller-holds helper, and an RWMutex read path.
@@ -64,63 +60,4 @@ func (f *Flights) Mark(k string) {
 	}
 	f.reg.m[k] = true
 	f.reg.Unlock()
-}
-
-// Hits is the all-atomic counter: every access goes through sync/atomic.
-type Hits struct {
-	n int64
-}
-
-// Bump and Read agree on atomicity.
-func (h *Hits) Bump()       { atomic.AddInt64(&h.n, 1) }
-func (h *Hits) Read() int64 { return atomic.LoadInt64(&h.n) }
-
-// Pump is the sanctioned pipeline: the sender closes, the consumer ranges,
-// the worker loop exits on ctx.Done, and the fan-out goroutines are joined.
-func Pump(ctx context.Context, items []int) int {
-	ch := make(chan int)
-	go func() {
-		defer close(ch)
-		for _, v := range items {
-			select {
-			case ch <- v:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	total := 0
-	for v := range ch {
-		total += v
-	}
-	return total
-}
-
-// FanOut joins every spawned goroutine and passes the loop value as an
-// argument instead of capturing it.
-func FanOut(items []int) int {
-	var mu sync.Mutex
-	total := 0
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			mu.Lock()
-			total += v
-			mu.Unlock()
-		}(items[i])
-	}
-	wg.Wait()
-	return total
-}
-
-// Watch runs for the process lifetime by design.
-func Watch(tick chan struct{}) {
-	//depburst:daemon -- fixture watcher mirrors the metrics flusher
-	go func() {
-		for {
-			<-tick
-		}
-	}()
 }

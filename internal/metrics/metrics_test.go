@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"io"
+	"reflect"
 	"testing"
 
 	"depburst/internal/units"
@@ -65,6 +67,43 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	doc := r.Export()
 	if doc.Version != FormatVersion {
 		t.Errorf("nil Export version = %d", doc.Version)
+	}
+}
+
+// TestEveryRegistryMethodIsNilSafe calls every exported method of both
+// registry types on a nil receiver, so a method added or changed without
+// its nil guard fails here even when no hand-written test names it.
+// Arguments are zero values, except io.Discard for interface parameters.
+// Each method recovers on its own, so one panic does not hide the rest.
+func TestEveryRegistryMethodIsNilSafe(t *testing.T) {
+	for _, recv := range []reflect.Value{
+		reflect.ValueOf((*Registry)(nil)),
+		reflect.ValueOf((*ServerRegistry)(nil)),
+	} {
+		typ := recv.Type()
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%s has no exported methods", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1)
+			for j := range args {
+				in := m.Type.In(j + 1)
+				if in.Kind() == reflect.Interface {
+					args[j] = reflect.ValueOf(io.Discard)
+				} else {
+					args[j] = reflect.Zero(in)
+				}
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%s).%s panics on a nil receiver: %v", typ, m.Name, p)
+					}
+				}()
+				recv.Method(i).Call(args)
+			}()
+		}
 	}
 }
 

@@ -189,6 +189,11 @@ func TestRunLoadGETAndNetErrors(t *testing.T) {
 	if _, err := RunLoad(context.Background(), LoadOptions{}); err == nil {
 		t.Fatal("RunLoad without BaseURL returned nil error")
 	}
+	// Above 1e9 RPS the tick interval rounds to zero, which time.NewTicker
+	// would panic on before any request starts.
+	if _, err := RunLoad(context.Background(), LoadOptions{BaseURL: "http://127.0.0.1:1", RPS: 2_000_000_000}); err == nil {
+		t.Fatal("RunLoad at 2e9 RPS returned nil error")
+	}
 
 	dead, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:        "http://127.0.0.1:1",

@@ -71,6 +71,10 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
+	interval := time.Second / time.Duration(o.RPS)
+	if interval <= 0 {
+		return nil, fmt.Errorf("load: RPS %d exceeds one request per nanosecond", o.RPS)
+	}
 	client := &http.Client{Timeout: o.RequestTimeout}
 	url := o.BaseURL + o.Path
 
@@ -115,7 +119,6 @@ func RunLoad(ctx context.Context, o LoadOptions) (*LoadReport, error) {
 
 	runCtx, cancel := context.WithTimeout(ctx, o.Duration)
 	defer cancel()
-	interval := time.Second / time.Duration(o.RPS)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var wg sync.WaitGroup
