@@ -115,3 +115,24 @@ func TestUnknownAnalyzerExits2(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeCacheCapWarns: a DEPBURST_CACHE_MAX_MB whose byte count would
+// overflow int64 is refused with the invalid-value warning instead of
+// silently becoming the default cap; the largest value that fits is taken.
+func TestHugeCacheCapWarns(t *testing.T) {
+	for _, tc := range []struct {
+		mb   string
+		warn bool
+	}{
+		{"8796093022207", false},
+		{"8796093022208", true},
+		{"17592186044416", true},
+	} {
+		t.Setenv("DEPBURST_CACHE_MAX_MB", tc.mb)
+		code, _, stderr := depburst(t, "-cache", t.TempDir(), "table2")
+		want := fmt.Sprintf("depburst: ignoring invalid DEPBURST_CACHE_MAX_MB=%q", tc.mb)
+		if code != 0 || strings.Contains(stderr, want) != tc.warn {
+			t.Errorf("DEPBURST_CACHE_MAX_MB=%s: exit %d, stderr %q; want exit 0 and warning %v", tc.mb, code, stderr, tc.warn)
+		}
+	}
+}

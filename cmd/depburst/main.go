@@ -101,7 +101,9 @@ func usage() {
 global flags:
   -json             emit tables as JSON instead of aligned text
   -j N, -parallel N simulation worker-pool size (default GOMAXPROCS);
-                    output is byte-identical at any N
+                    output is byte-identical at any N. Under serve it
+                    sizes the experiment endpoints' pool; predict
+                    simulations use -request-workers
   -cache DIR        persistent simulation-result cache (default: the
                     DEPBURST_CACHE environment variable; empty disables).
                     A warm rerun deserialises instead of simulating and is
@@ -161,9 +163,13 @@ commands:
   serve [-addr HOST:PORT] [-max-queue N] [-request-workers N] [-timeout D]
         [-step MHz] [-suite FILE] [-surrogate]
                     prediction-as-a-service HTTP API (see README "Serving");
-                    honours the global -j and -cache flags; -surrogate
-                    trains the tier-0 fast path at boot from the -cache
-                    corpus
+                    predict simulations run on -request-workers slots
+                    (default 2) with at most -max-queue (default 16)
+                    waiting, beyond which a request gets 429; memo and
+                    disk hits take neither. -j sizes the experiment
+                    endpoints' pool, -cache is the shared result store;
+                    -surrogate trains the tier-0 fast path at boot from
+                    the -cache corpus
   loadtest [-addr HOST:PORT] [-rps N] [-duration D] [-bench NAME]
            [-p99-ms MS]
                     drive a running server and assert p99 + zero 5xx;
@@ -198,7 +204,7 @@ func openCache(dir string) *simcache.Store {
 	var maxBytes int64
 	if mb := os.Getenv("DEPBURST_CACHE_MAX_MB"); mb != "" {
 		n, err := strconv.ParseInt(mb, 10, 64)
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || n > math.MaxInt64>>20 {
 			fmt.Fprintf(os.Stderr, "depburst: ignoring invalid DEPBURST_CACHE_MAX_MB=%q\n", mb)
 		} else {
 			maxBytes = n << 20

@@ -22,13 +22,14 @@ import (
 )
 
 // cmdServe boots the prediction service. The global -j and -cache flags
-// (already applied to r) size the simulation pool and the persistent result
-// store; serve's own flags shape the HTTP layer.
+// (already applied to r) size the experiment endpoints' simulation pool and
+// set the persistent result store; serve's own flags shape the HTTP layer
+// and the pool and queue bound of predict simulations.
 func cmdServe(r *experiments.Runner, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8377", "listen address")
-	maxQueue := fs.Int("max-queue", 16, "predict requests queued before 429")
-	workers := fs.Int("request-workers", 2, "concurrently-executing predict requests")
+	maxQueue := fs.Int("max-queue", 16, "predict simulations waiting for a slot before 429")
+	workers := fs.Int("request-workers", 2, "concurrent predict simulations (memo and disk hits take no slot)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-request deadline (0 disables)")
 	step := fs.Int("step", 500, "fig7 static-sweep step in MHz (requests may override with ?step=)")
 	suite := fs.String("suite", "", "custom suite JSON replacing the stock benchmarks (see 'depburst suite')")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"depburst/internal/dacapo"
@@ -189,11 +190,12 @@ func (c *doneWatch) Done() <-chan struct{} {
 // its head, without a flight of its own.
 func TestSlotHeadWaitsOnFullFlight(t *testing.T) {
 	var e entry
+	var follows atomic.Int64
 	res := &sim.Result{Time: 42, Energy: 7}
 	entered, release := make(chan struct{}), make(chan struct{})
 	fullDone := make(chan error, 1)
 	go func() {
-		_, got, _, err := e.do(context.Background(), true, func(context.Context) (*sim.Summary, *sim.Result, any, error) {
+		_, got, _, err := e.do(context.Background(), true, &follows, func(context.Context) (*sim.Summary, *sim.Result, any, error) {
 			close(entered)
 			<-release
 			head := res.Summary()
@@ -208,7 +210,7 @@ func TestSlotHeadWaitsOnFullFlight(t *testing.T) {
 	ctx := &doneWatch{Context: context.Background(), waiting: make(chan struct{})}
 	headDone := make(chan *sim.Summary, 1)
 	go func() {
-		head, _, _, err := e.do(ctx, false, func(context.Context) (*sim.Summary, *sim.Result, any, error) {
+		head, _, _, err := e.do(ctx, false, &follows, func(context.Context) (*sim.Summary, *sim.Result, any, error) {
 			t.Error("head reader flew its own flight")
 			return nil, nil, nil, errors.New("unexpected flight")
 		})
@@ -229,5 +231,8 @@ func TestSlotHeadWaitsOnFullFlight(t *testing.T) {
 	}
 	if head := <-headDone; head == nil || *head != res.Summary() {
 		t.Errorf("head reader got %+v, want %+v", head, res.Summary())
+	}
+	if n := follows.Load(); n != 1 {
+		t.Errorf("follows = %d, want 1: the head reader waited once", n)
 	}
 }

@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,7 +55,9 @@ var (
 //
 // A copy of a Runner (rn := *r) is a derived Runner: it shares the memo,
 // worker pool, disk cache and simulation counter, and may change Base
-// freely, because Base is part of every memo key.
+// freely, because Base is part of every memo key. A copy that calls
+// SetWorkers keeps the memo but simulates on a pool and queue of its own;
+// the prediction server runs its requests on such a view.
 type Runner struct {
 	// Base is the machine template; per-run copies adjust frequency and
 	// the benchmark's JVM sizing.
@@ -62,6 +65,10 @@ type Runner struct {
 
 	workers int
 	sem     chan struct{}
+	// queued counts the simulations waiting for a slot of sem; maxQueue,
+	// when positive, bounds it (SetMaxQueue).
+	queued   *atomic.Int64
+	maxQueue int
 
 	// disk, when non-nil, is the persistent content-addressed result
 	// store consulted under the singleflight layer: a key hit replaces
@@ -87,11 +94,13 @@ type Runner struct {
 	memo *memo
 }
 
-// memo maps a run's content key (see contentKey) to its slot.
+// memo maps a run's content key (see contentKey) to its slot. follows
+// counts the callers that waited on another caller's flight.
 type memo struct {
 	mu sync.Mutex
 	//depburst:guardedby mu
-	m map[string]*entry
+	m       map[string]*entry
+	follows atomic.Int64
 }
 
 // slot returns the singleflight slot for key, creating it if needed.
@@ -152,6 +161,10 @@ func (r *Runner) Suite() []dacapo.Spec {
 // hits are not counted. Servers use it to verify request coalescing.
 func (r *Runner) Simulations() int64 { return r.sims.Load() }
 
+// Coalesced reports how many callers of this Runner and its copies waited
+// on another caller's in-flight run instead of starting their own.
+func (r *Runner) Coalesced() int64 { return r.memo.follows.Load() }
+
 // WithContext returns a Runner bound to ctx that shares this Runner's memo,
 // worker pool, disk cache and simulation counter. Work launched
 // through the binding — including experiment table methods — aborts
@@ -198,6 +211,11 @@ func Cancelable(fn func()) (err error) {
 	return nil
 }
 
+// ErrSaturated is the error a run gets from a Runner with a queue bound
+// (SetMaxQueue) when it needs a simulation, every pool slot is busy and the
+// bound is reached. Nothing was simulated; a later retry may succeed.
+var ErrSaturated = errors.New("experiments: simulation queue full")
+
 // unwind passes a run's outcome through, converting cancellation into the
 // panic Cancelable recovers.
 func unwind(res *sim.Result, mgr any, err error) (*sim.Result, any) {
@@ -229,15 +247,18 @@ type entry struct {
 // execFn is one flight's body. It returns the run's head and, when it
 // decoded or simulated the whole run, the result and (for governed runs)
 // the manager. It must return a non-nil error only for context
-// cancellation; simulator failures panic, as they indicate bugs.
+// cancellation or ErrSaturated; simulator failures panic, as they
+// indicate bugs.
 type execFn func(ctx context.Context) (*sim.Summary, *sim.Result, any, error)
 
 // do resolves the slot for a caller that needs the full result (full) or
 // only the head. A slot already holding what the caller needs returns it;
 // an in-flight one, head or full, is waited on (abandoning the wait, but
 // not the flight, when ctx is cancelled first) and then examined again;
-// otherwise this caller executes exec as the flight leader.
-func (e *entry) do(ctx context.Context, full bool, exec execFn) (*sim.Summary, *sim.Result, any, error) {
+// otherwise this caller executes exec as the flight leader. A caller that
+// waits is counted once in follows.
+func (e *entry) do(ctx context.Context, full bool, follows *atomic.Int64, exec execFn) (*sim.Summary, *sim.Result, any, error) {
+	followed := false
 	for {
 		e.mu.Lock()
 		if e.res != nil || !full && e.head != nil {
@@ -253,10 +274,14 @@ func (e *entry) do(ctx context.Context, full bool, exec execFn) (*sim.Summary, *
 		}
 		done := e.done
 		e.mu.Unlock()
+		if !followed {
+			followed = true
+			follows.Add(1)
+		}
 		select {
 		case <-done:
-			// Loop: the flight either filled the slot or was
-			// cancelled, and this caller should retry it.
+			// Loop: the flight either filled the slot or failed
+			// (cancelled or refused), and this caller should retry it.
 		case <-ctx.Done():
 			return nil, nil, nil, ctx.Err()
 		}
@@ -303,19 +328,33 @@ func NewRunnerWorkers(n int) *Runner {
 	return r
 }
 
-// SetWorkers resizes the simulation pool. Call it before launching work
-// (and before copying the Runner); in-flight simulations keep the slot
-// they already hold.
+// SetWorkers gives the Runner a simulation pool of its own with n slots
+// and an empty queue. Call it before launching work (and before copying
+// the Runner, unless the copy is to simulate apart); in-flight simulations
+// keep the slot they already hold.
 func (r *Runner) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
 	r.workers = n
 	r.sem = make(chan struct{}, n)
+	r.queued = new(atomic.Int64)
 }
 
 // Workers reports the pool size.
 func (r *Runner) Workers() int { return r.workers }
+
+// SetMaxQueue bounds the simulations that may wait for a pool slot: once n
+// wait, a run that needs one more simulation fails with ErrSaturated
+// instead of queueing. Memo hits, disk hits and followers of an in-flight
+// run never wait for a slot, so the bound never refuses them. n <= 0 (the
+// default) leaves the queue unbounded. Set it before launching work, and
+// call a bounded Runner only through TruthCtx: the panicking accessors
+// would unwind the refusal like a cancellation.
+func (r *Runner) SetMaxQueue(n int) { r.maxQueue = n }
+
+// Queued reports how many simulations wait for a slot of the Runner's pool.
+func (r *Runner) Queued() int64 { return r.queued.Load() }
 
 // SetSampling installs a sampled-simulation policy on the Runner's base
 // machine configuration. Every subsequent simulation the Runner launches
@@ -329,18 +368,28 @@ func (r *Runner) SetSampling(p sampling.Policy) { r.Base.Sampling = p.Normalized
 // full detail).
 func (r *Runner) Sampling() sampling.Policy { return r.Base.Sampling }
 
-// gate blocks until a pool slot is free and returns the release func, or
-// gives up with ctx's error when the context is cancelled while queued.
-// Only runs that actually execute a simulation acquire a slot;
-// experiment-level fan-out goroutines block in singleflight waits without
-// holding one, so nesting FanOut/Prewarm cannot deadlock the pool.
+// gate blocks until a pool slot is free and returns the release func. It
+// gives up with ctx's error when the context is cancelled while queued, and
+// at once with ErrSaturated when every slot is busy and the queue bound is
+// reached. Only runs that actually execute a simulation acquire a slot or
+// a queue place; experiment-level fan-out goroutines and followers block in
+// singleflight waits without holding either, so nesting FanOut/Prewarm
+// cannot deadlock the pool.
 func (r *Runner) gate(ctx context.Context) (func(), error) {
-	if r.sem == nil {
-		return func() {}, nil
-	}
+	release := func() { <-r.sem }
 	select {
 	case r.sem <- struct{}{}:
-		return func() { <-r.sem }, nil
+		return release, nil
+	default:
+	}
+	if n := r.queued.Add(1); r.maxQueue > 0 && n > int64(r.maxQueue) {
+		r.queued.Add(-1)
+		return nil, ErrSaturated
+	}
+	defer r.queued.Add(-1)
+	select {
+	case r.sem <- struct{}{}:
+		return release, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -393,10 +442,12 @@ func (r *Runner) summary(j job) sim.Summary {
 // resolve resolves one memoised run: the memo, then the disk cache, then a
 // pool slot and a live simulation written back to disk. A caller that
 // needs only the head (full unset) decodes only the head of a disk entry;
-// a live simulation memoises the whole result either way.
+// a live simulation memoises the whole result either way. A non-nil error
+// is ctx's, or ErrSaturated when the queue bound refused the simulation;
+// either leaves the slot for the next caller to retry.
 func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *sim.Result, any, error) {
 	key := contentKey(j.kind, j.cfg, j.extra...)
-	return r.memo.slot(key).do(ctx, full, func(ctx context.Context) (*sim.Summary, *sim.Result, any, error) {
+	return r.memo.slot(key).do(ctx, full, &r.memo.follows, func(ctx context.Context) (*sim.Summary, *sim.Result, any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
@@ -474,10 +525,11 @@ func (r *Runner) Truth(spec dacapo.Spec, f units.Freq) *sim.Result {
 }
 
 // TruthCtx is Truth with an explicit context and error return: the
-// error-based entry point servers use for deadline propagation. A non-nil
-// error is always ctx's error; the in-flight simulation it abandons (or
-// aborts, if this caller was the flight leader) is retried by the next
-// caller.
+// error-based entry point servers use for deadline propagation and
+// admission. A non-nil error is ctx's error, or ErrSaturated when the
+// Runner's queue bound (SetMaxQueue) refused the simulation the run needs;
+// the in-flight simulation it abandons (or aborts, if this caller was the
+// flight leader) is retried by the next caller.
 func (r *Runner) TruthCtx(ctx context.Context, spec dacapo.Spec, f units.Freq) (*sim.Result, error) {
 	res, _, err := r.run(ctx, r.truthJob(spec, f))
 	return res, err

@@ -5,7 +5,6 @@ import (
 
 	"depburst/internal/core"
 	"depburst/internal/dacapo"
-	"depburst/internal/energy"
 	"depburst/internal/metrics"
 	"depburst/internal/report"
 	"depburst/internal/sim"
@@ -16,29 +15,27 @@ import (
 // observability registry attached and returns both. Unlike Truth the run is
 // not memoised — the registry belongs to exactly this execution — but it
 // still takes a worker-pool slot so instrumented runs respect the global
-// simulation cap. With managed set, the run starts at the maximum frequency
-// and the DEP+BURST energy manager governs DVFS at the given slowdown
-// threshold (f is ignored); otherwise the run holds f throughout.
+// simulation cap. With managed set, the run is ManagedRun's: it starts at
+// the maximum frequency and the DEP+BURST energy manager governs DVFS at
+// the given slowdown threshold (f is ignored); otherwise it is Truth's run
+// at f.
 func (r *Runner) InstrumentedRun(spec dacapo.Spec, f units.Freq, managed bool, threshold float64) (*sim.Result, *metrics.Registry) {
+	j := r.truthJob(spec, f)
+	if managed {
+		j = r.managedJob(spec, threshold, 1, r.Base.Quantum)
+	}
+	reg := metrics.NewRegistry()
+	j.cfg.Metrics = reg
 	release, err := r.gate(r.context())
 	if err != nil {
 		panic(canceled{err})
 	}
 	defer release()
-	cfg := r.Base
-	cfg.Freq = f
-	if managed {
-		cfg.Freq = FMax
+	m := sim.New(j.cfg)
+	if j.govern != nil {
+		j.govern(m)
 	}
-	spec.Configure(&cfg)
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
-	m := sim.New(cfg)
-	if managed {
-		mg := energy.NewManager(energy.DefaultManagerConfig(threshold))
-		m.SetGovernor(mg.Governor())
-	}
-	res, err := m.Run(dacapo.New(spec))
+	res, err := m.Run(j.w)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: instrumented run %s: %v", spec.Name, err))
 	}

@@ -446,15 +446,10 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		t.killed = true
-		switch t.state {
-		case stateRunning:
-			// Will observe killed at its next yield resume; force it.
-			t.resume <- struct{}{}
-			<-t.out
-		default:
-			t.resume <- struct{}{}
-			<-t.out
-		}
+		// Running or parked, the thread observes killed at its next
+		// resume; force it.
+		t.resume <- struct{}{}
+		<-t.out
 		t.state = stateExited
 		t.endAt = t.now
 		k.liveAll--

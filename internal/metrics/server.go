@@ -32,8 +32,9 @@ type routeStats struct {
 }
 
 // ServerRegistry collects the serving layer's telemetry: per-route request
-// latency histograms, per-status-code counters, and the coalescing and
-// backpressure tallies the batching layer maintains. Unlike the per-run
+// latency histograms, per-status-code counters, the backpressure tally, and
+// the coalesced count the server copies from the Runner memo at scrape time.
+// Unlike the per-run
 // Registry — which lives inside one single-threaded simulation — the server
 // registry is shared by concurrent HTTP handlers, so every method locks.
 //
@@ -115,14 +116,15 @@ func (s *ServerRegistry) TierCount(tier string) uint64 {
 	return 0
 }
 
-// IncCoalesced records one request served by joining an identical in-flight
-// prediction instead of starting its own work.
-func (s *ServerRegistry) IncCoalesced() {
+// SetCoalesced publishes how many callers waited on another caller's
+// identical in-flight run instead of starting their own. The Runner memo
+// keeps the count; the server sets it when a scrape arrives, like a gauge.
+func (s *ServerRegistry) SetCoalesced(n uint64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.coalesced++
+	s.coalesced = n
 	s.mu.Unlock()
 }
 
@@ -136,7 +138,7 @@ func (s *ServerRegistry) IncRejected() {
 	s.mu.Unlock()
 }
 
-// Coalesced returns the coalesced-request tally.
+// Coalesced returns the last published coalesced count.
 func (s *ServerRegistry) Coalesced() uint64 {
 	if s == nil {
 		return 0
@@ -334,7 +336,7 @@ func (s *ServerRegistry) WriteJSON(w io.Writer) error {
 
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4): cumulative le buckets, _sum/_count in seconds, and
-// the coalescing/backpressure counters. Output is deterministic (sorted
+// the coalesced/rejected counters. Output is deterministic (sorted
 // routes, codes and gauges).
 func (s *ServerRegistry) WritePrometheus(w io.Writer) error {
 	doc := s.Export()
@@ -362,7 +364,7 @@ func (s *ServerRegistry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "depburst_http_request_duration_seconds_count{route=%q} %d\n", r.Route, r.Count)
 	}
 
-	fmt.Fprintf(bw, "# HELP depburst_http_coalesced_total Requests served by joining an in-flight prediction.\n")
+	fmt.Fprintf(bw, "# HELP depburst_http_coalesced_total Callers that waited on an identical in-flight run instead of starting their own.\n")
 	fmt.Fprintf(bw, "# TYPE depburst_http_coalesced_total counter\n")
 	fmt.Fprintf(bw, "depburst_http_coalesced_total %d\n", doc.Coalesced)
 

@@ -17,8 +17,7 @@ func fixtureServerRegistry() *ServerRegistry {
 	s.ObserveRequest("POST /v1/predict", 400, 120_000)    // bad request
 	s.ObserveRequest("GET /v1/experiments/fig1", 200, 2_100_000_000)
 	s.ObserveRequest("GET /healthz", 200, 30_000)
-	s.IncCoalesced()
-	s.IncCoalesced()
+	s.SetCoalesced(2)
 	s.IncRejected()
 	s.ObserveTier("surrogate", 90_000)
 	s.ObserveTier("surrogate", 140_000)
@@ -31,7 +30,7 @@ func fixtureServerRegistry() *ServerRegistry {
 func TestServerRegistryNilDisabled(t *testing.T) {
 	var s *ServerRegistry
 	s.ObserveRequest("GET /healthz", 200, 1)
-	s.IncCoalesced()
+	s.SetCoalesced(1)
 	s.IncRejected()
 	s.ObserveTier("surrogate", 1)
 	s.SetGauge("x", 1)
@@ -225,7 +224,7 @@ func TestServerRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				s.ObserveRequest("POST /v1/predict", 200, int64(j)*1000)
-				s.IncCoalesced()
+				s.SetCoalesced(uint64(j))
 				s.IncRejected()
 				s.SetGauge("queue_depth", float64(j))
 			}
@@ -236,7 +235,7 @@ func TestServerRegistryConcurrent(t *testing.T) {
 	if doc.Routes[0].Count != 8*200 {
 		t.Fatalf("count = %d, want %d", doc.Routes[0].Count, 8*200)
 	}
-	if s.Coalesced() != 8*200 || s.Rejected() != 8*200 {
+	if s.Coalesced() != 199 || s.Rejected() != 8*200 {
 		t.Fatal("counter totals wrong under concurrency")
 	}
 }

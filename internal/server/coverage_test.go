@@ -43,12 +43,11 @@ func TestMetricsDisabled(t *testing.T) {
 }
 
 func TestMetricsDiskCacheGauges(t *testing.T) {
-	s, r := newTestServer(t, nil)
 	st, err := simcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetDiskCache(st)
+	s, _ := newTestServer(t, func(c *Config) { c.Runner.SetDiskCache(st) })
 	for _, path := range []string{"/v1/metrics", "/v1/metrics?format=prometheus"} {
 		w := get(t, s, path)
 		if w.Code != http.StatusOK {
@@ -78,18 +77,18 @@ func TestResolveSpecStockFallback(t *testing.T) {
 	}
 }
 
-// TestPredictCancelledWhileQueued: a leader parked on the worker queue whose
-// client disconnects is released promptly with the cancellation status, and
-// its queue slot is returned.
+// TestPredictCancelledWhileQueued: a request whose simulation is parked on
+// the queue and whose client disconnects is released promptly with the
+// cancellation status, and its queue place is returned.
 func TestPredictCancelledWhileQueued(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.Workers = 1; c.MaxQueue = 4 })
+	s, r := newTestServer(t, func(c *Config) { c.Workers = 1; c.MaxQueue = 4 })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // occupy the only worker slot with slow cold work
 		defer wg.Done()
 		post(t, s, "/v1/predict", `{"bench":"pmd.b","base_mhz":1000,"targets_mhz":[4000]}`)
 	}()
-	waitFor(t, func() bool { return len(s.sem) == 1 })
+	waitFor(t, func() bool { return r.Simulations() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict",
@@ -100,7 +99,7 @@ func TestPredictCancelledWhileQueued(t *testing.T) {
 		s.ServeHTTP(w, req)
 		close(done)
 	}()
-	waitFor(t, func() bool { return s.waiting.Load() == 1 })
+	waitFor(t, func() bool { return s.predict.Queued() == 1 })
 	cancel()
 	select {
 	case <-done:
@@ -110,14 +109,14 @@ func TestPredictCancelledWhileQueued(t *testing.T) {
 	if w.Code != 499 {
 		t.Fatalf("cancelled queued request = %d, want 499", w.Code)
 	}
-	waitFor(t, func() bool { return s.waiting.Load() == 0 })
+	waitFor(t, func() bool { return s.predict.Queued() == 0 })
 	wg.Wait()
 }
 
 // TestPredictFollowerCancelled: a request joined onto another caller's flight
 // whose own client disconnects is released without waiting for the leader.
 func TestPredictFollowerCancelled(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	s, r := newTestServer(t, func(c *Config) { c.Workers = 1 })
 	body := `{"bench":"pmd.b","base_mhz":1200,"targets_mhz":[4000]}`
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -125,11 +124,7 @@ func TestPredictFollowerCancelled(t *testing.T) {
 		defer wg.Done()
 		post(t, s, "/v1/predict", body)
 	}()
-	waitFor(t, func() bool {
-		s.flights.Lock()
-		defer s.flights.Unlock()
-		return len(s.flights.m) == 1
-	})
+	waitFor(t, func() bool { return r.Simulations() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
@@ -139,7 +134,7 @@ func TestPredictFollowerCancelled(t *testing.T) {
 		s.ServeHTTP(w, req)
 		close(done)
 	}()
-	waitFor(t, func() bool { return s.cfg.Metrics.Coalesced() >= 1 })
+	waitFor(t, func() bool { return r.Coalesced() >= 1 })
 	cancel()
 	select {
 	case <-done:

@@ -12,8 +12,8 @@ import (
 //
 //  1. The decoder never panics, whatever the input.
 //  2. A request that decodes is normalised: re-encoding and re-decoding it
-//     yields the same value (normalisation is idempotent), so the coalescing
-//     key is stable.
+//     yields the same value (normalisation is idempotent), so equal work
+//     always decodes to one request and gets one response.
 //  3. Normalised targets are sorted, deduplicated and within bounds.
 func FuzzPredictRequest(f *testing.F) {
 	seeds := []string{
@@ -66,17 +66,26 @@ func FuzzPredictRequest(f *testing.F) {
 				t.Fatalf("unknown model %q survived decode", m)
 			}
 		}
-		// Idempotence: decoding the normalised form reproduces it exactly,
-		// so identical work always coalesces onto one flight key.
-		key1 := req.key()
-		again, err := DecodePredictRequest(strings.NewReader(key1), 1<<20)
+		// Idempotence: decoding the normalised form reproduces it exactly.
+		first := encode(t, req)
+		again, err := DecodePredictRequest(strings.NewReader(first), 1<<20)
 		if err != nil {
-			t.Fatalf("normalised request failed to re-decode: %v\nkey: %s", err, key1)
+			t.Fatalf("normalised request failed to re-decode: %v\nrequest: %s", err, first)
 		}
-		if key2 := again.key(); key1 != key2 {
-			t.Fatalf("normalisation not idempotent:\nfirst:  %s\nsecond: %s", key1, key2)
+		if second := encode(t, again); first != second {
+			t.Fatalf("normalisation not idempotent:\nfirst:  %s\nsecond: %s", first, second)
 		}
 	})
+}
+
+// encode is the JSON of a decoded request.
+func encode(t *testing.T, req *PredictRequest) string {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestFuzzSeedsAsTable runs the seed corpus as a plain test so `go test`
@@ -93,8 +102,8 @@ func TestFuzzSeedsAsTable(t *testing.T) {
 	if len(req.Models) != 1 {
 		t.Fatalf("models not deduped: %v", req.Models)
 	}
-	var round PredictRequest
-	if err := json.Unmarshal([]byte(req.key()), &round); err != nil {
-		t.Fatalf("key is not valid JSON: %v", err)
+	again, err := DecodePredictRequest(strings.NewReader(encode(t, req)), 1<<20)
+	if err != nil || encode(t, again) != encode(t, req) {
+		t.Fatalf("normalised request does not re-decode to itself: %v", err)
 	}
 }

@@ -127,8 +127,9 @@ func modelFor(name string) (core.Model, bool) {
 // request from r: unknown fields, trailing data and out-of-range parameters
 // are errors, and the body is capped at limit bytes. The returned request is
 // normalised (defaults applied, targets sorted and deduplicated), so equal
-// workloads decode to equal values — the property the request coalescer
-// keys on. This is also the fuzzing entry point.
+// workloads decode to equal values and get the same response, which is a
+// pure function of the normalised request. This is also the fuzzing entry
+// point.
 func DecodePredictRequest(r io.Reader, limit int64) (*PredictRequest, error) {
 	if limit > 0 {
 		r = io.LimitReader(r, limit+1)
@@ -207,9 +208,9 @@ func DecodePredictRequest(r io.Reader, limit int64) (*PredictRequest, error) {
 		case p.SafetyFactor < 0 || p.SafetyFactor > 16:
 			return nil, fmt.Errorf("sampling.safety_factor %v outside [0,16]", p.SafetyFactor)
 		}
-		// Normalise so equal effective policies coalesce (and cache) as
-		// one; an explicitly disabled policy is the same request as no
-		// sampling field at all.
+		// Normalise so equal effective policies are one request; an
+		// explicitly disabled policy is the same request as no sampling
+		// field at all.
 		p = p.Normalized()
 		if !p.Enabled {
 			req.Sampling = nil
@@ -230,30 +231,11 @@ func dedupInt64(xs []int64) []int64 {
 	return out
 }
 
-// key returns the canonical coalescing key: the normalised request's JSON.
-// Two requests for identical work always produce identical keys, because
-// DecodePredictRequest normalises ordering and defaults.
-func (req *PredictRequest) key() string {
-	b, err := json.Marshal(req)
-	if err != nil {
-		// A decoded request always re-marshals; this is unreachable.
-		panic(err)
-	}
-	return string(b)
-}
-
-// flight is one in-progress predict computation other identical requests
-// join. A failed flight is cleared so the next arrival retries, mirroring
-// the Runner's singleflight semantics.
-type flight struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-// handlePredict serves POST /v1/predict: strict decode, coalesce with
-// identical in-flight work, backpressure on the worker queue, then compute
-// under the request deadline.
+// handlePredict serves POST /v1/predict: strict decode, spec resolution,
+// the surrogate tier, then computePredict on the predict view under the
+// request deadline. The Runner memo coalesces identical in-flight runs and
+// admits each simulation to the view's bounded queue, so a request that
+// needs no simulation never waits for a slot or a queue place.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	req, err := DecodePredictRequest(body, 0)
@@ -275,89 +257,25 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	key := req.key()
-
-	for {
-		s.flights.Lock()
-		f := s.flights.m[key]
-		if f == nil {
-			f = &flight{done: make(chan struct{})}
-			s.flights.m[key] = f
-			s.flights.Unlock()
-			s.leadPredict(ctx, key, f, req, spec)
-		} else {
-			s.flights.Unlock()
-			s.cfg.Metrics.IncCoalesced()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				writeCtxError(w, ctx.Err())
-				return
-			}
-		}
-		switch {
-		case f.err == nil:
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(f.body)
-			return
-		case errors.Is(f.err, errSaturated):
-			w.Header().Set("Retry-After", "1")
-			s.cfg.Metrics.IncRejected()
-			writeError(w, http.StatusTooManyRequests, "prediction queue full")
-			return
-		case errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded):
-			if ctx.Err() != nil {
-				// This caller's own deadline/disconnect.
-				writeCtxError(w, ctx.Err())
-				return
-			}
-			// The flight's leader was cancelled but this caller is still
-			// live: take over as the new leader.
-			continue
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", f.err)
-			return
-		}
-	}
-}
-
-// errSaturated marks a flight refused by the backpressure gate.
-var errSaturated = fmt.Errorf("server: saturated")
-
-// leadPredict executes the flight: acquire a worker slot (or refuse when the
-// queue is full), compute, publish, and clear the flight. The flight map
-// never keeps completed entries — memoisation lives in the Runner and the
-// disk cache; the map exists only to merge concurrent identical work.
-func (s *Server) leadPredict(ctx context.Context, key string, f *flight, req *PredictRequest, spec dacapo.Spec) {
-	defer func() {
-		s.flights.Lock()
-		delete(s.flights.m, key)
-		s.flights.Unlock()
-		close(f.done)
-	}()
-	if s.waiting.Load() >= int64(s.cfg.MaxQueue) {
-		f.err = errSaturated
-		return
-	}
-	s.waiting.Add(1)
-	select {
-	case s.sem <- struct{}{}:
-		s.waiting.Add(-1)
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		s.waiting.Add(-1)
-		f.err = ctx.Err()
-		return
-	}
-	start := time.Now() //depburst:allow determinism -- tier latency telemetry observes the real clock; it never feeds prediction output
-	f.body, f.err = s.computePredict(ctx, req, spec)
-	if f.err == nil {
+	out, err := s.computePredict(ctx, req, spec)
+	switch {
+	case err == nil:
 		tier := TierFull
 		if req.Sampling != nil {
 			tier = TierSampled
 		}
 		//depburst:allow determinism -- tier latency telemetry observes the real clock
 		s.cfg.Metrics.ObserveTier(tier, time.Since(start).Nanoseconds())
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(out)
+	case errors.Is(err, experiments.ErrSaturated):
+		w.Header().Set("Retry-After", "1")
+		s.cfg.Metrics.IncRejected()
+		writeError(w, http.StatusTooManyRequests, "prediction queue full")
+	case ctx.Err() != nil:
+		writeCtxError(w, ctx.Err())
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -432,15 +350,19 @@ func (s *Server) observeTruth(r *experiments.Runner, spec dacapo.Spec, f units.F
 	}
 }
 
-// computePredict runs the base (and, with actual set, target) simulations
-// through the Runner — memoised, singleflight-deduplicated, disk-cached —
-// and assembles the response. The response bytes are a pure function of the
+// computePredict runs the base (and, with actual set, target) runs through
+// the predict view — memoised, coalesced with identical in-flight runs,
+// disk-cached, each simulation admitted to the bounded queue — and
+// assembles the response. Its error is ctx's or experiments.ErrSaturated.
+// A request refused after its first simulation keeps that run memoised, so
+// a retry is cheaper. The response bytes are a pure function of the
 // request, so cold and warm paths are byte-identical.
 func (s *Server) computePredict(ctx context.Context, req *PredictRequest, spec dacapo.Spec) ([]byte, error) {
-	r := s.cfg.Runner
+	r := s.predict
 	if req.Sampling != nil {
-		// The policy is part of every memo key, so a copy of the shared
-		// Runner with the policy installed can never alias full detail.
+		// The policy is part of every memo key, so a copy of the view with
+		// the policy installed can never alias full detail; it shares the
+		// view's pool and queue bound.
 		sampled := *r
 		sampled.SetSampling(*req.Sampling)
 		r = &sampled

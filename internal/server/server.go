@@ -1,7 +1,7 @@
 // Package server exposes the simulator as a prediction service: a JSON HTTP
-// API over the experiments Runner with request coalescing, bounded-queue
-// backpressure, per-request deadline propagation into the simulator's
-// sampling loop, and graceful drain.
+// API over the experiments Runner, whose memo coalesces identical in-flight
+// runs, with per-simulation bounded-queue backpressure, per-request deadline
+// propagation into the simulator's sampling loop, and graceful drain.
 //
 // Serving is tiered (DESIGN.md "Tiered serving"): an optional learned
 // surrogate answers eligible predict requests in microseconds when its
@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,14 +48,16 @@ type Config struct {
 	// Runner executes and memoises simulations. Required.
 	Runner *experiments.Runner
 
-	// Workers caps concurrently-executing predict requests (default 2).
-	// The Runner's own pool additionally caps simulations; this gate
-	// bounds request-level work and defines the backpressure queue.
+	// Workers caps the simulations predict requests run at once (default
+	// 2). They run on a pool of their own; the experiment endpoints keep
+	// the Runner's. Memo hits, disk hits and requests that join an
+	// identical in-flight run take no slot.
 	Workers int
 
-	// MaxQueue caps predict requests waiting for a worker slot. Arrivals
-	// beyond it are refused with 429 + Retry-After instead of queueing
-	// unboundedly (default 16).
+	// MaxQueue caps the predict simulations waiting for one of those
+	// slots (default 16). A request whose next simulation finds the queue
+	// full is refused with 429 + Retry-After instead of queueing
+	// unboundedly.
 	MaxQueue int
 
 	// Timeout bounds each request's total work; the deadline propagates
@@ -92,16 +93,12 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	sem     chan struct{} // predict worker slots
-	waiting atomic.Int64  // predict requests queued for a slot
+	// predict is the Runner view /v1/predict simulates on: the Runner's
+	// memo, disk cache and counters, with a pool of Workers slots and a
+	// queue bound of MaxQueue simulations.
+	predict *experiments.Runner
 
 	draining atomic.Bool
-
-	flights struct {
-		sync.Mutex
-		//depburst:guardedby Mutex
-		m map[string]*flight
-	}
 }
 
 // New validates cfg, applies defaults, and assembles the routing table.
@@ -124,12 +121,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = 500
 	}
-	s := &Server{
-		cfg: cfg,
-		mux: http.NewServeMux(),
-		sem: make(chan struct{}, cfg.Workers),
-	}
-	s.flights.m = make(map[string]*flight)
+	predict := *cfg.Runner
+	predict.SetWorkers(cfg.Workers)
+	predict.SetMaxQueue(cfg.MaxQueue)
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), predict: &predict}
 
 	s.route("POST /v1/predict", s.handlePredict)
 	s.route("GET /v1/experiments/fig1", s.experimentHandler("fig1"))
@@ -278,8 +273,9 @@ func (s *Server) experimentHandler(name string) http.HandlerFunc {
 }
 
 // handleMetrics serves the serving-layer registry, refreshing the
-// point-in-time gauges first. ?format=prometheus selects the text
-// exposition format; the default is the JSON document.
+// point-in-time gauges and the Runner's coalesced count first.
+// ?format=prometheus selects the text exposition format; the default is
+// the JSON document.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := s.cfg.Metrics
 	if reg == nil {
@@ -287,7 +283,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reg.SetGauge("simulations_total", float64(s.cfg.Runner.Simulations()))
-	reg.SetGauge("queue_depth", float64(s.waiting.Load()))
+	reg.SetGauge("queue_depth", float64(s.predict.Queued()))
+	reg.SetCoalesced(uint64(s.cfg.Runner.Coalesced()))
 	if disk := s.cfg.Runner.DiskCache(); disk != nil {
 		st := disk.Stats()
 		reg.SetGauge("simcache_hits", float64(st.Hits))

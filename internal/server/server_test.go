@@ -95,6 +95,15 @@ func post(t testing.TB, h http.Handler, path, body string) *httptest.ResponseRec
 	return w
 }
 
+// postCtx is post of a predict request under ctx, for requests a test
+// cancels.
+func postCtx(ctx context.Context, h http.Handler, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
+}
+
 func get(t testing.TB, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -142,8 +151,7 @@ func TestPredictColdWarmIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, r := newTestServer(t, nil)
-		r.SetDiskCache(st)
+		s, _ := newTestServer(t, func(c *Config) { c.Runner.SetDiskCache(st) })
 		return s
 	}
 	cold := post(t, open(), "/v1/predict", predictBody)
@@ -181,8 +189,7 @@ func TestPredictUnwritableCache(t *testing.T) {
 	if err := os.WriteFile(dir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	broken, r := newTestServer(t, nil)
-	r.SetDiskCache(st)
+	broken, _ := newTestServer(t, func(c *Config) { c.Runner.SetDiskCache(st) })
 	plain, _ := newTestServer(t, nil)
 	got := post(t, broken, "/v1/predict", predictBody)
 	want := post(t, plain, "/v1/predict", predictBody)
@@ -228,8 +235,12 @@ func TestPredictCoalescing(t *testing.T) {
 	if sims := r.Simulations(); sims != 1 {
 		t.Fatalf("simulations = %d, want exactly 1 for 100 identical requests", sims)
 	}
-	if s.cfg.Metrics.Coalesced() == 0 {
+	if r.Coalesced() == 0 {
 		t.Error("coalesced counter is zero: requests were not merged")
+	}
+	get(t, s, "/v1/metrics")
+	if got, want := s.cfg.Metrics.Coalesced(), uint64(r.Coalesced()); got != want {
+		t.Errorf("a scrape published coalesced = %d, the Runner counts %d", got, want)
 	}
 }
 
@@ -299,7 +310,7 @@ func TestPredictBodyLimit(t *testing.T) {
 // slow cold requests and asserts the third distinct request is refused with
 // 429 + Retry-After instead of queueing unboundedly.
 func TestPredictBackpressure(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.Workers = 1; c.MaxQueue = 1 })
+	s, r := newTestServer(t, func(c *Config) { c.Workers = 1; c.MaxQueue = 1 })
 	reqBody := func(f int) string {
 		return fmt.Sprintf(`{"bench":"pmd.b","base_mhz":%d,"targets_mhz":[4000]}`, f)
 	}
@@ -313,9 +324,9 @@ func TestPredictBackpressure(t *testing.T) {
 	}
 	// Occupy the worker slot, then the queue slot, with distinct slow work.
 	launch(reqBody(1000))
-	waitFor(t, func() bool { return len(s.sem) == 1 })
+	waitFor(t, func() bool { return r.Simulations() == 1 })
 	launch(reqBody(1100))
-	waitFor(t, func() bool { return s.waiting.Load() == 1 })
+	waitFor(t, func() bool { return s.predict.Queued() == 1 })
 
 	w := post(t, s, "/v1/predict", reqBody(1200))
 	if w.Code != http.StatusTooManyRequests {
@@ -328,6 +339,135 @@ func TestPredictBackpressure(t *testing.T) {
 		t.Error("rejected counter is zero")
 	}
 	wg.Wait() // drain the slow requests before the runner outlives the test
+}
+
+// TestPredictMemoHitNeverQueues: a request whose every run is memoised
+// needs no simulation, so it is answered while one cold request holds the
+// only slot and another fills the only queue place.
+func TestPredictMemoHitNeverQueues(t *testing.T) {
+	s, r := newTestServer(t, func(c *Config) { c.Workers = 1; c.MaxQueue = 1 })
+	const memoised = `{"bench":"pmd.scale","targets_mhz":[4000]}`
+	want := post(t, s, "/v1/predict", memoised)
+	if want.Code != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", want.Code, want.Body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	launch := func(f int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postCtx(ctx, s, fmt.Sprintf(`{"bench":"pmd.b","base_mhz":%d,"targets_mhz":[4000]}`, f))
+		}()
+	}
+	launch(1000)
+	waitFor(t, func() bool { return r.Simulations() == 2 })
+	launch(1100)
+	waitFor(t, func() bool { return s.predict.Queued() == 1 })
+
+	got := post(t, s, "/v1/predict", memoised)
+	if got.Code != http.StatusOK {
+		t.Fatalf("memoised request with the queue full: status %d: %s", got.Code, got.Body)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatal("memoised response differs from the first")
+	}
+}
+
+// TestPredictMemoHitBypassesSlot: while a cold actual request holds the
+// only slot for its three simulations, a memoised request is answered
+// before the cold one returns.
+func TestPredictMemoHitBypassesSlot(t *testing.T) {
+	s, r := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	const memoised = `{"bench":"pmd.scale","targets_mhz":[4000]}`
+	want := post(t, s, "/v1/predict", memoised)
+	if want.Code != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", want.Code, want.Body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cold := make(chan struct{})
+	defer func() { cancel(); <-cold }()
+	go func() {
+		defer close(cold)
+		postCtx(ctx, s, `{"bench":"pmd.b","base_mhz":1000,"targets_mhz":[2000,4000],"actual":true}`)
+	}()
+	waitFor(t, func() bool { return r.Simulations() == 2 })
+
+	got := post(t, s, "/v1/predict", memoised)
+	sims := r.Simulations()
+	select {
+	case <-cold:
+		t.Fatal("the memoised request returned only after the cold one")
+	default:
+	}
+	if sims > 3 {
+		t.Errorf("the memoised request waited for all of the cold request's simulations")
+	}
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("memoised request: status %d, body %s; want the first response", got.Code, got.Body)
+	}
+}
+
+// TestPredictTakeover: a client that disconnects while its request leads
+// a cold run aborts that run, and an identical request waiting on it over
+// another connection takes the run over and gets the answer a fresh server
+// gives.
+func TestPredictTakeover(t *testing.T) {
+	s, r := newTestServer(t, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	const body = `{"bench":"pmd.b","base_mhz":1400,"targets_mhz":[4000]}`
+	send := func(ctx context.Context) (int, []byte, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, b, err
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := send(ctx)
+		first <- err
+	}()
+	waitFor(t, func() bool { return r.Simulations() == 1 })
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	second := make(chan answer, 1)
+	go func() {
+		code, b, err := send(context.Background())
+		second <- answer{code, b, err}
+	}()
+	waitFor(t, func() bool { return r.Coalesced() == 1 })
+	cancel()
+	if err := <-first; err == nil {
+		t.Fatal("the disconnected client got a response")
+	}
+
+	got := <-second
+	if got.err != nil || got.code != http.StatusOK {
+		t.Fatalf("waiting request after the takeover: status %d, err %v: %s", got.code, got.err, got.body)
+	}
+	fresh, _ := newTestServer(t, nil)
+	if want := post(t, fresh, "/v1/predict", body); !bytes.Equal(got.body, want.Body.Bytes()) {
+		t.Fatalf("takeover response differs from a fresh server's:\ngot:  %s\nwant: %s", got.body, want.Body)
+	}
+	if n := r.Simulations(); n != 2 {
+		t.Errorf("simulations = %d, want 2: the aborted run and its takeover", n)
+	}
 }
 
 func waitFor(t testing.TB, cond func() bool) {
@@ -498,7 +638,7 @@ func TestExperimentBadStep(t *testing.T) {
 // to 503, (b) the in-flight request still completes, (c) Serve returns
 // within the drain budget.
 func TestServeGracefulDrain(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.DrainTimeout = 15 * time.Second })
+	s, r := newTestServer(t, func(c *Config) { c.DrainTimeout = 15 * time.Second })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +659,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		}
 		slow <- resp
 	}()
-	waitFor(t, func() bool { return len(s.sem) == 1 })
+	waitFor(t, func() bool { return r.Simulations() == 1 })
 
 	cancel() // SIGTERM analogue
 	waitFor(t, func() bool { return s.draining.Load() })

@@ -245,8 +245,8 @@ func TestSurrogateSampledRunnerNeverTrains(t *testing.T) {
 
 // TestSurrogateConcurrentTiers: concurrent identical eligible requests are
 // all absorbed by the fast path (zero simulations, identical bodies), while
-// concurrent identical ineligible requests still coalesce into one flight —
-// the tiering does not bypass the batching layer.
+// concurrent identical ineligible requests still coalesce into one run in
+// the Runner memo — the tiering does not bypass the singleflight.
 func TestSurrogateConcurrentTiers(t *testing.T) {
 	model, _ := trainedSurrogate(t, 1000, 2000, 3000, 4000)
 	s, r := newTestServer(t, func(c *Config) {
@@ -295,7 +295,7 @@ func TestSurrogateConcurrentTiers(t *testing.T) {
 	if sims := r.Simulations(); sims != 1 {
 		t.Fatalf("ineligible burst ran %d simulations, want exactly 1", sims)
 	}
-	if s.cfg.Metrics.Coalesced() == 0 {
+	if r.Coalesced() == 0 {
 		t.Error("ineligible burst did not coalesce")
 	}
 }
