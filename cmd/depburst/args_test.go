@@ -90,12 +90,25 @@ func TestLintTakesPatterns(t *testing.T) {
 }
 
 // TestUnknownCommandExits2: a command that does not exist, including the
-// retired bench, prints the usage and exits 2.
+// retired bench, svg and trace, prints the usage and exits 2.
 func TestUnknownCommandExits2(t *testing.T) {
-	for _, cmd := range []string{"bench", "nosuch"} {
+	for _, cmd := range []string{"bench", "svg", "trace", "nosuch"} {
 		code, _, stderr := depburst(t, cmd)
 		if code != 2 || !strings.Contains(stderr, "usage: depburst") {
 			t.Errorf("%s: exit %d, stderr %q; want exit 2 with usage", cmd, code, stderr)
+		}
+	}
+}
+
+// TestInvalidThresholdExits2: the energy manager cannot govern with a
+// slowdown bound that is not a finite number, so run exits 2 naming it
+// before simulating.
+func TestInvalidThresholdExits2(t *testing.T) {
+	for _, x := range []string{"NaN", "+Inf"} {
+		code, stdout, stderr := depburst(t, "run", "-bench", "avrora", "-managed", "-threshold", x)
+		want := "depburst: invalid threshold " + x
+		if code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+			t.Errorf("-threshold %s: exit %d, stdout %q, stderr %q; want exit 2 and %q", x, code, stdout, stderr, want)
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"depburst/internal/simcache"
 	"depburst/internal/tracefmt"
 	"depburst/internal/units"
-	"depburst/internal/viz"
 )
 
 func parseWorkers(s string) int {
@@ -136,8 +135,6 @@ commands:
   sequential        single-thread engine background (paper §II-A)
   heap [-bench NAME]  nursery-size (heap pressure) sensitivity sweep
   seeds             robustness of the accuracy result across workload seeds
-  trace -bench NAME [-threshold X]  frequency timeline under the manager
-  svg -bench NAME [-threshold X] [-o FILE]  the same timeline as an SVG
   all [-step MHz]   every experiment in order (one shared, prewarmed runner)
   run -bench NAME [-freq MHz] [-metrics FILE] [-timeline FILE]
       [-managed] [-threshold X] [-target MHz]
@@ -279,7 +276,7 @@ global:
 	if sampled {
 		r.SetSampling(sampling.DefaultPolicy())
 	}
-	if err := profiled(cpuProfile, memProfile, func() { dispatch(r, cmd, args, workers) }); err != nil {
+	if err := profiled(cpuProfile, memProfile, func() { dispatch(r, cmd, args) }); err != nil {
 		fmt.Fprintf(os.Stderr, "depburst: %v\n", err)
 		os.Exit(1)
 	}
@@ -289,14 +286,14 @@ global:
 // command takes no arguments: a leftover one exits 2 before any work, as
 // it does for these after their flags.
 var ownFlags = map[string]bool{
-	"fig7": true, "heap": true, "trace": true, "svg": true, "all": true,
+	"fig7": true, "heap": true, "all": true,
 	"run": true, "report": true, "record": true, "suite": true,
 	"samplecheck": true, "surrogatecheck": true, "offline": true,
 	"predict": true, "serve": true, "loadtest": true, "lint": true,
 }
 
 // dispatch runs one command.
-func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
+func dispatch(r *experiments.Runner, cmd string, args []string) {
 	if !ownFlags[cmd] {
 		parseFlags(flag.NewFlagSet(cmd, flag.ExitOnError), args)
 	}
@@ -345,10 +342,6 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 		emit(r.HeapPressureSweep(*bench))
 	case "seeds":
 		emit(r.SeedSensitivity(nil))
-	case "trace":
-		cmdTrace(r, args)
-	case "svg":
-		cmdSVG(r, args)
 	case "all":
 		fs := flag.NewFlagSet("all", flag.ExitOnError)
 		step := fs.Int("step", 125, "static sweep step in MHz")
@@ -371,9 +364,9 @@ func dispatch(r *experiments.Runner, cmd string, args []string, workers int) {
 	case "doctor":
 		cmdDoctor()
 	case "samplecheck":
-		cmdSampleCheck(args, workers)
+		cmdSampleCheck(r, args)
 	case "surrogatecheck":
-		cmdSurrogateCheck(args, workers)
+		cmdSurrogateCheck(r, args)
 	case "offline":
 		cmdOffline(args)
 	case "predict":
@@ -412,6 +405,7 @@ func cmdRun(r *experiments.Runner, args []string) {
 	threshold := fs.Float64("threshold", 0.10, "manager slowdown bound (with -managed)")
 	target := fs.Int("target", 0, "record prediction-error telemetry against the truth run at this frequency (MHz)")
 	parseFlags(fs, args)
+	checkThreshold(*threshold)
 	spec := resolveSpec(*suite, *bench)
 
 	if *metricsOut == "" && *timelineOut == "" && !*managed && *target == 0 {
@@ -613,80 +607,6 @@ func cmdOffline(args []string) {
 		t.AddRow(m.Name(), m.Predict(obs, units.Freq(*target)).String())
 	}
 	t.Fprint(os.Stdout)
-}
-
-// cmdSVG renders the managed run's timeline (frequency staircase, GC
-// pauses, per-core activity) as a standalone SVG file.
-func cmdSVG(r *experiments.Runner, args []string) {
-	fs := flag.NewFlagSet("svg", flag.ExitOnError)
-	bench := fs.String("bench", "xalan", "benchmark name")
-	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
-	out := fs.String("o", "timeline.svg", "output file")
-	parseFlags(fs, args)
-	checkThreshold(*threshold)
-	spec, err := dacapo.ByName(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	res, _ := r.ManagedRun(spec, *threshold)
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := viz.Timeline(f, res); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	f.Close()
-	fmt.Printf("wrote %s (%d quanta, %d GC pauses)\n", *out, len(res.Samples), len(res.GC.Pauses))
-}
-
-// cmdTrace prints an ASCII timeline of the frequency the energy manager
-// chose over a run — the visual analogue of the paper's Figure 5.
-func cmdTrace(r *experiments.Runner, args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	bench := fs.String("bench", "xalan", "benchmark name")
-	threshold := fs.Float64("threshold", 0.10, "tolerable slowdown")
-	parseFlags(fs, args)
-	checkThreshold(*threshold)
-	spec, err := dacapo.ByName(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	res, _ := r.ManagedRun(spec, *threshold)
-	fmt.Printf("%s under the DEP+BURST manager (%.0f%% bound): frequency per quantum\n",
-		spec.Name, *threshold*100)
-	fmt.Println("each row is one quantum; bar length = frequency (1-4 GHz); * marks a GC pause overlap")
-	pauses := res.GC.Pauses
-	for _, s := range res.Samples {
-		bars := int((s.Freq - 875) / 125)
-		if bars < 0 {
-			bars = 0
-		}
-		gc := " "
-		for _, p := range pauses {
-			if p.Start < s.End && p.End > s.Start {
-				gc = "*"
-				break
-			}
-		}
-		fmt.Printf("%9.3fms %s %-8v %s\n", s.Start.Milliseconds(), gc, s.Freq, bar(bars))
-	}
-}
-
-func bar(n int) string {
-	if n > 60 {
-		n = 60
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
 }
 
 func cmdPredict(r *experiments.Runner, args []string) {

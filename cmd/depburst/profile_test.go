@@ -15,7 +15,7 @@ func TestProfilesWritten(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	r := experiments.NewRunnerWorkers(1)
-	if err := profiled(cpu, mem, func() { dispatch(r, "table2", nil, 1) }); err != nil {
+	if err := profiled(cpu, mem, func() { dispatch(r, "table2", nil) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{cpu, mem} {

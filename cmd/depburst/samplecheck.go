@@ -51,30 +51,25 @@ type sampleCheckRunDoc struct {
 //     run itself reported, and
 //   - the cold-run wall-clock speedup clears -min-speedup.
 //
-// Both passes use fresh runners and no disk cache, so the timings are true
-// cold-run numbers. CI runs this as the sample-accuracy job.
-func cmdSampleCheck(args []string, workers int) {
+// Both passes use fresh runners the size of r's pool and no disk cache, so
+// the timings are true cold-run numbers. CI runs this as the
+// sample-accuracy job.
+func cmdSampleCheck(r *experiments.Runner, args []string) {
 	fs := flag.NewFlagSet("samplecheck", flag.ExitOnError)
 	minSpeedup := fs.Float64("min-speedup", 3.0, "fail below this cold-run speedup")
 	out := fs.String("o", "", "also write the machine-readable report (JSON) to FILE")
 	parseFlags(fs, args)
 
-	newRunner := func() *experiments.Runner {
-		if workers > 0 {
-			return experiments.NewRunnerWorkers(workers)
-		}
-		return experiments.NewRunner()
-	}
 	suite := dacapo.Suite()
 	policy := sampling.DefaultPolicy()
 
-	full := newRunner()
+	full := experiments.NewRunnerWorkers(r.Workers())
 	start := time.Now() //depburst:allow determinism -- samplecheck times the real wall clock; the accuracy columns are deterministic
 	full.Prewarm(suite, experiments.EvalFreqs...)
 	//depburst:allow determinism -- wall-clock duration is the measurement
 	fullWall := time.Since(start)
 
-	sampled := newRunner()
+	sampled := experiments.NewRunnerWorkers(r.Workers())
 	sampled.SetSampling(policy)
 	start = time.Now() //depburst:allow determinism -- wall-clock duration is the measurement
 	sampled.Prewarm(suite, experiments.EvalFreqs...)

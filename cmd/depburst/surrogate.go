@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"slices"
 	"time"
@@ -53,28 +54,22 @@ type surrogateCheckDoc struct {
 //   - speed: the in-process /v1/predict round-trip served from the trained
 //     model must beat the mean cold full-detail simulation by -min-speedup,
 //     with every request actually answered at tier 0.
-func cmdSurrogateCheck(args []string, workers int) {
-	if code := surrogateCheck(args, workers); code != 0 {
+func cmdSurrogateCheck(r *experiments.Runner, args []string) {
+	if code := surrogateCheck(r, args); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// surrogateCheck runs the gate and returns its exit status. Returning,
-// instead of exiting, lets the deferred removal of the cold corpus run on
-// every path.
-func surrogateCheck(args []string, workers int) int {
+// surrogateCheck runs the gate on fresh runners the size of r's pool and
+// returns its exit status. Returning, instead of exiting, lets the deferred
+// removal of the cold corpus run on every path.
+func surrogateCheck(r *experiments.Runner, args []string) int {
 	fs := flag.NewFlagSet("surrogatecheck", flag.ExitOnError)
 	maxErr := fs.Float64("max-err", 0.05, "fail when the held-out mean-abs error exceeds this")
 	minSpeedup := fs.Float64("min-speedup", 100, "fail below this surrogate-vs-cold-simulation speedup")
 	out := fs.String("o", "", "also write the machine-readable report (JSON) to FILE")
 	parseFlags(fs, args)
 
-	newRunner := func() *experiments.Runner {
-		if workers > 0 {
-			return experiments.NewRunnerWorkers(workers)
-		}
-		return experiments.NewRunner()
-	}
 	suite := dacapo.Suite()
 
 	// Build the corpus cold, timing it: the per-simulation mean is the
@@ -90,7 +85,7 @@ func surrogateCheck(args []string, workers int) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	corpus := newRunner()
+	corpus := experiments.NewRunnerWorkers(r.Workers())
 	corpus.SetDiskCache(st)
 	start := time.Now() //depburst:allow determinism -- surrogatecheck times the real wall clock; the accuracy columns are deterministic
 	corpus.Prewarm(suite, experiments.EvalFreqs...)
@@ -126,7 +121,7 @@ func surrogateCheck(args []string, workers int) int {
 	// the real HTTP layer. The backing runner is fresh and cache-less: a
 	// single fallback would simulate, so a zero count proves tier 0 took
 	// every request.
-	backing := newRunner()
+	backing := experiments.NewRunnerWorkers(r.Workers())
 	srv, err := server.New(server.Config{
 		Runner:    backing,
 		Metrics:   metrics.NewServerRegistry(),
@@ -141,7 +136,7 @@ func surrogateCheck(args []string, workers int) int {
 	for i := 0; i < rounds; i++ {
 		for _, spec := range suite {
 			body := fmt.Sprintf(`{"bench":%q,"base_mhz":1000,"targets_mhz":[2000,3000,4000]}`, spec.Name)
-			rec := newMemResponse()
+			rec := httptest.NewRecorder()
 			req, err := http.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader([]byte(body)))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -154,8 +149,8 @@ func surrogateCheck(args []string, workers int) int {
 			var resp struct {
 				Tier string `json:"tier"`
 			}
-			if rec.code != http.StatusOK || json.Unmarshal(rec.body.Bytes(), &resp) != nil {
-				fmt.Fprintf(os.Stderr, "surrogatecheck: %s: status %d: %s\n", spec.Name, rec.code, rec.body.Bytes())
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+				fmt.Fprintf(os.Stderr, "surrogatecheck: %s: status %d: %s\n", spec.Name, rec.Code, rec.Body.Bytes())
 				return 1
 			}
 			if resp.Tier == "surrogate" {
@@ -254,19 +249,3 @@ func surrogateHoldout(samples []surrogate.Sample) (cleared []float64, benchAnswe
 	}
 	return cleared, benchAnswers
 }
-
-// memResponse is a minimal in-process http.ResponseWriter for driving the
-// server handler without a listener.
-type memResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func newMemResponse() *memResponse {
-	return &memResponse{header: http.Header{}, code: http.StatusOK}
-}
-
-func (m *memResponse) Header() http.Header         { return m.header }
-func (m *memResponse) WriteHeader(c int)           { m.code = c }
-func (m *memResponse) Write(b []byte) (int, error) { return m.body.Write(b) }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"depburst/internal/experiments"
 )
 
 // TestSurrogateCheckFailureRemovesCorpus forces the speed gate to fail: the
@@ -17,7 +19,7 @@ func TestSurrogateCheckFailureRemovesCorpus(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	report := filepath.Join(t.TempDir(), "surrogatecheck.json")
-	if code := surrogateCheck([]string{"-min-speedup", "1e12", "-o", report}, 0); code != 1 {
+	if code := surrogateCheck(experiments.NewRunner(), []string{"-min-speedup", "1e12", "-o", report}); code != 1 {
 		t.Fatalf("exit status %d, want 1", code)
 	}
 	left, err := filepath.Glob(filepath.Join(tmp, "depburst-surrogatecheck-*"))

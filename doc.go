@@ -20,8 +20,10 @@
 //   - internal/experiments: one harness per table/figure of the paper,
 //     plus ablations and extensions (per-core DVFS, feedback control,
 //     consolidation, regression baseline).
-//   - internal/obsio, internal/viz: observation record/replay (JSON) and
-//     SVG run timelines.
+//   - internal/obsio, internal/tracefmt: observation record/replay (JSON)
+//     and Chrome trace_event run timelines (a governed run's is the
+//     paper's Figure 5 view: frequency per quantum, GC pauses, per-core
+//     activity).
 //
 // The benchmarks in bench_test.go regenerate every table and figure; the
 // cmd/depburst CLI prints them. See README.md, DESIGN.md and

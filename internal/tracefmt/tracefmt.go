@@ -2,10 +2,11 @@
 // trace_event JSON format, loadable in chrome://tracing and Perfetto
 // (https://ui.perfetto.dev). One track per kernel thread shows scheduling
 // lifetimes, a GC track shows stop-the-world windows, counter tracks show
-// each core's frequency and the DRAM activity series, and instant events
-// mark DVFS transitions, epoch boundaries and runtime phase marks. Runs
-// executed in sampled mode additionally get a track labelling each quantum
-// fast-forward or detailed.
+// each core's frequency and busy fraction per quantum and the DRAM
+// activity series, and instant events mark DVFS transitions, epoch
+// boundaries and runtime phase marks. Runs executed in sampled mode
+// additionally get a track labelling each quantum fast-forward or
+// detailed.
 //
 // The document is built from structs and slices in a fixed order, so
 // identical runs export byte-identical timelines — the golden and
@@ -28,7 +29,7 @@ import (
 const (
 	PidThreads  = 1 // one track per kernel thread
 	PidGC       = 2 // stop-the-world windows and runtime marks
-	PidDVFS     = 3 // per-core frequency counters and transition instants
+	PidDVFS     = 3 // per-core frequency and busy counters, transition instants
 	PidEpochs   = 4 // synchronization epoch boundaries
 	PidDRAM     = 5 // memory-system counter tracks
 	PidSampling = 6 // sampled-vs-detailed quanta (sampled runs only)
@@ -66,11 +67,9 @@ func meta(name, kind string, pid, tid int) Event {
 	}
 }
 
-// Build assembles the timeline document from a run's observations. reg may
-// be nil: the tracks that need registry data (DVFS transition instants,
-// DRAM series, GC spans recorded by the JVM) are then reconstructed from
-// the result where possible (GC pauses, per-quantum frequencies) and
-// omitted otherwise.
+// Build assembles the timeline document from a run's observations. The GC
+// spans, DVFS transition instants and DRAM series come from reg, the
+// registry the run recorded into (Runner.InstrumentedRun attaches one).
 func Build(res *sim.Result, reg *metrics.Registry) Document {
 	doc := Document{DisplayTimeUnit: "ns"}
 	ev := make([]Event, 0, 256)
@@ -94,15 +93,8 @@ func Build(res *sim.Result, reg *metrics.Registry) Document {
 		})
 	}
 
-	// Stop-the-world windows. Prefer the registry's spans (recorded by
-	// the JVM as they close); fall back to the result's pause list.
-	spans := reg.GCSpans()
-	if spans == nil {
-		for _, p := range res.GC.Pauses {
-			spans = append(spans, metrics.Span{Start: p.Start, End: p.End, Major: p.Major})
-		}
-	}
-	for _, s := range spans {
+	// Stop-the-world windows, recorded by the JVM as they close.
+	for _, s := range reg.GCSpans() {
 		name := "minor GC (STW)"
 		if s.Major {
 			name = "major GC (STW)"
@@ -120,18 +112,29 @@ func Build(res *sim.Result, reg *metrics.Registry) Document {
 		})
 	}
 
-	// Per-core frequency counter tracks, one point per quantum.
+	// Per-core counter tracks, one point per quantum: the frequency the
+	// core ran at, and the share of the quantum it was active, clamped to
+	// [0,1]. A zero-length quantum reads 0, not the NaN JSON cannot carry.
 	for _, s := range res.Samples {
+		dur := s.End - s.Start
 		for i, c := range s.PerCore {
+			busy := 0.0
+			if dur > 0 {
+				busy = min(max(float64(c.Delta.Active)/float64(dur), 0), 1)
+			}
 			ev = append(ev, Event{
 				Name: fmt.Sprintf("core%d freq", i), Ph: "C", Ts: us(s.Start),
 				Pid: PidDVFS, Tid: i,
 				Args: map[string]any{"mhz": float64(c.Freq)},
+			}, Event{
+				Name: fmt.Sprintf("core%d busy", i), Ph: "C", Ts: us(s.Start),
+				Pid: PidDVFS, Tid: i,
+				Args: map[string]any{"frac": busy},
 			})
 		}
 	}
-	// Exact DVFS transition instants (registry only: the machine records
-	// them as they are applied).
+	// Exact DVFS transition instants, recorded by the machine as they are
+	// applied.
 	for _, c := range reg.FreqChanges() {
 		name := "dvfs chip"
 		if c.Core >= 0 {
@@ -161,28 +164,18 @@ func Build(res *sim.Result, reg *metrics.Registry) Document {
 		})
 	}
 
-	// DRAM activity counter tracks: per-quantum reads/writes/bank
-	// conflicts (registry) or access totals from the samples.
-	if pts := reg.DRAMSeries(); pts != nil {
-		for _, p := range pts {
-			ev = append(ev, Event{
-				Name: "DRAM", Ph: "C", Ts: us(p.At),
-				Pid: PidDRAM, Tid: 0,
-				Args: map[string]any{
-					"reads":     float64(p.Reads),
-					"writes":    float64(p.Writes),
-					"conflicts": float64(p.Conflicts),
-				},
-			})
-		}
-	} else {
-		for _, s := range res.Samples {
-			ev = append(ev, Event{
-				Name: "DRAM", Ph: "C", Ts: us(s.Start),
-				Pid: PidDRAM, Tid: 0,
-				Args: map[string]any{"accesses": float64(s.DRAMAccesses)},
-			})
-		}
+	// DRAM activity counter track: per-quantum reads, writes and bank
+	// conflicts.
+	for _, p := range reg.DRAMSeries() {
+		ev = append(ev, Event{
+			Name: "DRAM", Ph: "C", Ts: us(p.At),
+			Pid: PidDRAM, Tid: 0,
+			Args: map[string]any{
+				"reads":     float64(p.Reads),
+				"writes":    float64(p.Writes),
+				"conflicts": float64(p.Conflicts),
+			},
+		})
 	}
 
 	// Sampled-simulation track: one complete event per quantum, labelled

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"depburst/internal/cpu"
@@ -46,9 +48,15 @@ func fixtureRun() (*sim.Result, *metrics.Registry) {
 			Pauses: []jvm.Pause{{Start: 2_000_000, End: 2_400_000}}},
 		Samples: []sim.QuantumSample{
 			{Start: 0, End: 5_000_000, Freq: 2000, DRAMAccesses: 120,
-				PerCore: []sim.CoreSample{{Freq: 2000}, {Freq: 2000}}},
+				PerCore: []sim.CoreSample{
+					{Freq: 2000, Delta: cpu.Counters{Active: 5_000_000}},
+					{Freq: 2000, Delta: cpu.Counters{Active: 1_250_000}},
+				}},
 			{Start: 5_000_000, End: 10_000_000, Freq: 1500, DRAMAccesses: 40,
-				PerCore: []sim.CoreSample{{Freq: 1500}, {Freq: 2000}}},
+				PerCore: []sim.CoreSample{
+					{Freq: 1500, Delta: cpu.Counters{Active: 4_000_000}},
+					{Freq: 2000, Delta: cpu.Counters{Active: 3_000_000}},
+				}},
 		},
 	}
 	reg := metrics.NewRegistry()
@@ -90,17 +98,6 @@ func TestWriteGolden(t *testing.T) {
 	checkGolden(t, "timeline.golden.json", buf.Bytes())
 }
 
-// TestWriteGoldenNilRegistry locks the registry-less fallback path (GC
-// pauses from the result, DRAM from the samples, no DVFS instants).
-func TestWriteGoldenNilRegistry(t *testing.T) {
-	res, _ := fixtureRun()
-	var buf bytes.Buffer
-	if err := Write(&buf, res, nil); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "timeline_noreg.golden.json", buf.Bytes())
-}
-
 func TestWriteDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	res, reg := fixtureRun()
@@ -116,15 +113,26 @@ func TestWriteDeterministic(t *testing.T) {
 }
 
 // TestBuildTracks checks the assembled document structurally: every track
-// family present, phases legal, timestamps in microseconds.
+// family present, phases legal, timestamps in microseconds, and a busy point
+// beside each frequency point on every core, holding the core's active
+// share of the quantum clamped to [0,1].
 func TestBuildTracks(t *testing.T) {
 	res, reg := fixtureRun()
+	// An over-full quantum and a zero-length one must still read inside
+	// [0,1].
+	res.Samples = append(res.Samples,
+		sim.QuantumSample{Start: 10_000_000, End: 12_000_000, PerCore: []sim.CoreSample{
+			{Freq: 1500, Delta: cpu.Counters{Active: 3_000_000}}, {Freq: 2000}}},
+		sim.QuantumSample{Start: 12_000_000, End: 12_000_000, PerCore: []sim.CoreSample{
+			{Freq: 1500}, {Freq: 2000}}})
 	doc := Build(res, reg)
 	if doc.DisplayTimeUnit != "ns" {
 		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
 	byPid := map[int]int{}
 	byPh := map[string]int{}
+	freqs := map[string]int{}
+	busy := map[string][]float64{}
 	for _, e := range doc.TraceEvents {
 		byPid[e.Pid]++
 		byPh[e.Ph]++
@@ -132,6 +140,16 @@ func TestBuildTracks(t *testing.T) {
 		case "X", "i", "C", "M":
 		default:
 			t.Errorf("illegal phase %q on %q", e.Ph, e.Name)
+		}
+		if e.Ph == "C" && e.Pid == PidDVFS {
+			switch core, kind, _ := strings.Cut(e.Name, " "); kind {
+			case "freq":
+				freqs[core]++
+			case "busy":
+				busy[core] = append(busy[core], e.Args["frac"].(float64))
+			default:
+				t.Errorf("unexpected counter %q", e.Name)
+			}
 		}
 	}
 	for _, pid := range []int{PidThreads, PidGC, PidDVFS, PidEpochs, PidDRAM} {
@@ -158,6 +176,21 @@ func TestBuildTracks(t *testing.T) {
 	}
 	if !seen {
 		t.Error("main thread track missing")
+	}
+	want := map[string][]float64{
+		"core0": {1, 0.8, 1, 0},
+		"core1": {0.25, 0.6, 0, 0},
+	}
+	if len(busy) != len(want) {
+		t.Errorf("busy tracks for %d cores, want %d", len(busy), len(want))
+	}
+	for core, w := range want {
+		if !slices.Equal(busy[core], w) {
+			t.Errorf("%s busy = %v, want %v", core, busy[core], w)
+		}
+		if freqs[core] != len(w) {
+			t.Errorf("%s has %d freq points, want %d", core, freqs[core], len(w))
+		}
 	}
 }
 
