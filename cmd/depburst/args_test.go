@@ -90,12 +90,13 @@ func TestLintTakesPatterns(t *testing.T) {
 }
 
 // TestUnknownCommandExits2: a command that does not exist, including the
-// retired bench, svg and trace, prints the usage and exits 2.
+// retired bench, svg and trace, prints the usage and exits 2. Flags after
+// it are not parsed: the usage is depburst's, not a flag set's.
 func TestUnknownCommandExits2(t *testing.T) {
-	for _, cmd := range []string{"bench", "svg", "trace", "nosuch"} {
-		code, _, stderr := depburst(t, cmd)
-		if code != 2 || !strings.Contains(stderr, "usage: depburst") {
-			t.Errorf("%s: exit %d, stderr %q; want exit 2 with usage", cmd, code, stderr)
+	for _, argv := range [][]string{{"bench"}, {"svg"}, {"trace"}, {"nosuch"}, {"svg", "-bench", "xalan"}, {"nosuch", "-x"}} {
+		code, _, stderr := depburst(t, argv...)
+		if code != 2 || !strings.Contains(stderr, "usage: depburst") || strings.Contains(stderr, "Usage of") {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 with depburst's usage", argv, code, stderr)
 		}
 	}
 }

@@ -282,66 +282,20 @@ global:
 	}
 }
 
-// ownFlags lists the commands that parse flags of their own. Every other
-// command takes no arguments: a leftover one exits 2 before any work, as
-// it does for these after their flags.
-var ownFlags = map[string]bool{
-	"fig7": true, "heap": true, "all": true,
-	"run": true, "report": true, "record": true, "suite": true,
-	"samplecheck": true, "surrogatecheck": true, "offline": true,
-	"predict": true, "serve": true, "loadtest": true, "lint": true,
-}
-
-// dispatch runs one command.
+// dispatch runs one command. A command with flags of its own parses them
+// in its case; every other command goes to plain.
 func dispatch(r *experiments.Runner, cmd string, args []string) {
-	if !ownFlags[cmd] {
-		parseFlags(flag.NewFlagSet(cmd, flag.ExitOnError), args)
-	}
 	switch cmd {
-	case "table1":
-		emit(r.Table1())
-	case "table2":
-		emit(r.Table2())
-	case "fig1":
-		emit(r.Fig1())
-	case "fig3a":
-		emit(r.Fig3a())
-	case "fig3b":
-		emit(r.Fig3b())
-	case "fig4":
-		emit(r.Fig4())
-	case "fig6":
-		emit(r.Fig6())
 	case "fig7":
 		fs := flag.NewFlagSet("fig7", flag.ExitOnError)
 		step := fs.Int("step", 125, "static sweep step in MHz")
 		parseFlags(fs, args)
 		r.Fig7(units.Freq(*step)).Fprint(os.Stdout)
-	case "ablation":
-		emit(r.EngineAblation())
-		emit(r.HoldOffAblation("xalan"))
-		emit(r.QuantumAblation("xalan"))
-		emit(r.DRAMVariabilityAblation())
-	case "percore":
-		emit(r.PerCoreDVFS(0.10))
-	case "feedback":
-		emit(r.FeedbackAblation(0.10))
-	case "consolidation":
-		emit(r.Consolidation(nil))
-	case "regression":
-		emit(r.RegressionComparison())
-	case "substrate":
-		emit(r.GCPolicyAblation())
-		emit(r.PrefetchAblation())
-	case "sequential":
-		emit(r.SequentialBackground())
 	case "heap":
 		fs := flag.NewFlagSet("heap", flag.ExitOnError)
 		bench := fs.String("bench", "lusearch", "benchmark name")
 		parseFlags(fs, args)
 		emit(r.HeapPressureSweep(*bench))
-	case "seeds":
-		emit(r.SeedSensitivity(nil))
 	case "all":
 		fs := flag.NewFlagSet("all", flag.ExitOnError)
 		step := fs.Int("step", 125, "static sweep step in MHz")
@@ -361,8 +315,6 @@ func dispatch(r *experiments.Runner, cmd string, args []string) {
 		cmdRecord(r, args)
 	case "suite":
 		cmdSuite(args)
-	case "doctor":
-		cmdDoctor()
 	case "samplecheck":
 		cmdSampleCheck(r, args)
 	case "surrogatecheck":
@@ -378,8 +330,61 @@ func dispatch(r *experiments.Runner, cmd string, args []string) {
 	case "lint":
 		cmdLint(args)
 	default:
+		plain(r, cmd, args)
+	}
+}
+
+// plain runs a command that takes no arguments: a leftover one exits 2
+// before any work, as it does for the other commands after their flags.
+// An unknown command gets the usage text, its arguments untouched.
+func plain(r *experiments.Runner, cmd string, args []string) {
+	var run func()
+	switch cmd {
+	case "table1":
+		run = func() { emit(r.Table1()) }
+	case "table2":
+		run = func() { emit(r.Table2()) }
+	case "fig1":
+		run = func() { emit(r.Fig1()) }
+	case "fig3a":
+		run = func() { emit(r.Fig3a()) }
+	case "fig3b":
+		run = func() { emit(r.Fig3b()) }
+	case "fig4":
+		run = func() { emit(r.Fig4()) }
+	case "fig6":
+		run = func() { emit(r.Fig6()) }
+	case "ablation":
+		run = func() {
+			emit(r.EngineAblation())
+			emit(r.HoldOffAblation("xalan"))
+			emit(r.QuantumAblation("xalan"))
+			emit(r.DRAMVariabilityAblation())
+		}
+	case "percore":
+		run = func() { emit(r.PerCoreDVFS(0.10)) }
+	case "feedback":
+		run = func() { emit(r.FeedbackAblation(0.10)) }
+	case "consolidation":
+		run = func() { emit(r.Consolidation(nil)) }
+	case "regression":
+		run = func() { emit(r.RegressionComparison()) }
+	case "substrate":
+		run = func() {
+			emit(r.GCPolicyAblation())
+			emit(r.PrefetchAblation())
+		}
+	case "sequential":
+		run = func() { emit(r.SequentialBackground()) }
+	case "seeds":
+		run = func() { emit(r.SeedSensitivity(nil)) }
+	case "doctor":
+		run = cmdDoctor
+	default:
 		usage()
 	}
+	parseFlags(flag.NewFlagSet(cmd, flag.ExitOnError), args)
+	run()
 }
 
 // parseFlags parses a command's flags and exits 2 on a leftover argument,

@@ -38,38 +38,15 @@ type EpochBreakdown struct {
 // from it on the per-quantum hot path.
 func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) (pipeline, memory, burst, idle, pred units.Time) {
 	o.PerEpochCTP = true
+	w := newWalker(epochs, base, target, o)
 	for i := range epochs {
-		ep := &epochs[i]
-		if len(ep.Slices) == 0 {
-			d := ep.Duration()
-			idle += d
-			pred += d
-			continue
-		}
-		var iPrime units.Time
-		var crit *kernel.ThreadSlice
-		for j := range ep.Slices {
-			sl := &ep.Slices[j]
-			e := predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
-			if crit == nil || e > iPrime {
-				iPrime = e
-				crit = sl
-			}
-		}
-		if iPrime < 0 {
-			iPrime = 0
-		}
-		ns := nonScaling(&crit.Delta, crit.Delta.Active, o)
-		m := ns
-		if o.Burst {
-			m = nonScaling(&crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
-			burst += ns - m
-		}
+		p, crit := w.step(&epochs[i])
+		pi, m, b, id := w.split(crit, p)
+		pipeline += pi
 		memory += m
-		p := scaleTime(crit.Delta.Active-ns, base, target)
-		pipeline += p
-		pred += iPrime
-		idle += iPrime - (p + m + (ns - m))
+		burst += b
+		idle += id
+		pred += p
 	}
 	return pipeline, memory, burst, idle, pred
 }
@@ -78,63 +55,37 @@ func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Option
 // per-epoch component attributions instead of only the total. The sum of
 // the returned Pred fields equals PredictEpochs on the same inputs.
 func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) []EpochBreakdown {
-	out := make([]EpochBreakdown, 0, len(epochs))
-	slack, est := slackTables(epochs)
+	out := make([]EpochBreakdown, len(epochs))
+	w := newWalker(epochs, base, target, o)
 	for i := range epochs {
-		ep := &epochs[i]
-		b := EpochBreakdown{Start: ep.Start, Dur: ep.Duration()}
-		for _, sl := range ep.Slices {
-			b.Instrs += sl.Delta.Instrs
-		}
-		if len(ep.Slices) == 0 {
-			// Idle epoch: scheduler/timer time that does not scale.
-			b.Pred = ep.Duration()
-			b.Idle = b.Pred
-			out = append(out, b)
-			continue
-		}
-
-		// Critical-thread selection mirrors predictPerEpoch /
-		// predictAcrossEpochs: the largest (slack-adjusted) estimate wins.
-		var iPrime units.Time
-		var crit *kernel.ThreadSlice
+		ep, b := &epochs[i], &out[i]
+		b.Start, b.Dur = ep.Start, ep.Duration()
 		for j := range ep.Slices {
-			sl := &ep.Slices[j]
-			est[j] = predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
-			e := est[j]
-			if !o.PerEpochCTP {
-				e -= slack[sl.TID]
-			}
-			if crit == nil || e > iPrime {
-				iPrime = e
-				crit = sl
-			}
+			b.Instrs += ep.Slices[j].Delta.Instrs
 		}
-		if iPrime < 0 {
-			iPrime = 0
-		}
-
-		// Attribute the critical thread's two-component split, then let
-		// Idle carry whatever slack adjustment moved Pred off the raw
-		// estimate so the components always sum to Pred.
-		ns := nonScaling(&crit.Delta, crit.Delta.Active, o)
-		mem := ns
-		if o.Burst {
-			mem = nonScaling(&crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
-			b.Burst = ns - mem
-		}
-		b.Memory = mem
-		b.Pipeline = scaleTime(crit.Delta.Active-ns, base, target)
-		b.Pred = iPrime
-		b.Idle = iPrime - (b.Pipeline + b.Memory + b.Burst)
-		out = append(out, b)
-
-		if !o.PerEpochCTP {
-			for j := range ep.Slices {
-				slack[ep.Slices[j].TID] += iPrime - est[j]
-			}
-			resetSlack(slack, ep.StallTID)
-		}
+		var crit *kernel.ThreadSlice
+		b.Pred, crit = w.step(ep)
+		b.Pipeline, b.Memory, b.Burst, b.Idle = w.split(crit, b.Pred)
 	}
 	return out
+}
+
+// split divides an epoch's prediction among its critical thread's
+// pipeline time (rescaled to target), memory time and, under Burst,
+// store-burst time, and lets Idle carry whatever slack moved pred off the
+// thread's own estimate, so the four always sum to pred. An idle epoch
+// (no critical slice) is all Idle.
+func (w *walker) split(crit *kernel.ThreadSlice, pred units.Time) (pipeline, memory, burst, idle units.Time) {
+	if crit == nil {
+		return 0, 0, 0, pred
+	}
+	c := &crit.Delta
+	ns := nonScaling(c, c.Active, w.o)
+	memory = ns
+	if w.o.Burst {
+		memory = nonScaling(c, c.Active, Options{Engine: w.o.Engine})
+		burst = ns - memory
+	}
+	pipeline = scaleTime(c.Active-ns, w.base, w.target)
+	return pipeline, memory, burst, pred - (pipeline + memory + burst)
 }

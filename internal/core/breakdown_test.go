@@ -133,3 +133,16 @@ func TestBreakdownInstrsSum(t *testing.T) {
 		t.Errorf("breakdown instrs %d, want %d", got, want)
 	}
 }
+
+// TestSumBreakdownEpochsZeroAllocs locks the sampler's per-quantum
+// attribution at zero heap allocations: per-epoch mode builds no slack
+// tables.
+func TestSumBreakdownEpochsZeroAllocs(t *testing.T) {
+	epochs := breakdownEpochsFixture()
+	avg := testing.AllocsPerRun(1000, func() {
+		SumBreakdownEpochs(epochs, 1000, 4000, Options{Burst: true})
+	})
+	if avg != 0 {
+		t.Errorf("SumBreakdownEpochs allocates %.2f objects/op, want 0", avg)
+	}
+}

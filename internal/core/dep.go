@@ -44,10 +44,13 @@ func (d *DEP) Predict(obs *Observation, target units.Freq) units.Time {
 // exported separately because the energy manager applies it to the epochs
 // of a single scheduling quantum.
 func PredictEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) units.Time {
-	if o.PerEpochCTP {
-		return predictPerEpoch(epochs, base, target, o)
+	w := newWalker(epochs, base, target, o)
+	var total units.Time
+	for i := range epochs {
+		pred, _ := w.step(&epochs[i])
+		total += pred
 	}
-	return predictAcrossEpochs(epochs, base, target, o)
+	return total
 }
 
 // PredictAggregate predicts an interval's duration at the target frequency
@@ -58,62 +61,69 @@ func PredictAggregate(c cpu.Counters, base, target units.Freq, o Options) units.
 	return predictThread(c.Active, &c, o, base, target)
 }
 
-// predictPerEpoch estimates each epoch independently as the duration of its
-// slowest predicted thread (Figure 2(c)).
-func predictPerEpoch(epochs []kernel.Epoch, base, target units.Freq, o Options) units.Time {
-	var total units.Time
-	for i := range epochs {
-		ep := &epochs[i]
-		var worst units.Time
-		for j := range ep.Slices {
-			sl := &ep.Slices[j]
-			p := predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
-			if p > worst {
-				worst = p
-			}
-		}
-		if len(ep.Slices) == 0 {
-			// Idle epoch (no thread ran): its duration is
-			// scheduler/timer time that does not scale.
-			worst = ep.Duration()
-		}
-		total += worst
-	}
-	return total
+// walker steps DEP's critical-thread aggregation through an epoch stream
+// in order, so PredictEpochs, BreakdownEpochs and SumBreakdownEpochs share
+// one Algorithm 1. An epoch lasts as long as its critical thread: per
+// epoch, the slowest predicted thread (Figure 2(c)); across epochs, the
+// largest estimate net of the slack carried by per-thread delta counters,
+// so a thread that finished early in one epoch (and waited) correctly
+// absorbs that wait when it becomes critical later.
+type walker struct {
+	o            Options
+	base, target units.Freq
+	// slack and est are Algorithm 1's tables (see slackTables), built
+	// only in across-epoch mode.
+	slack, est []units.Time
 }
 
-// predictAcrossEpochs implements Algorithm 1: per-thread delta counters
-// carry slack across epochs, so a thread that finished early in one epoch
-// (and waited) correctly absorbs that wait when it becomes critical later.
-// The thread whose sleep closed the epoch has no carried slack: its delta
-// resets.
-func predictAcrossEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) units.Time {
-	slack, est := slackTables(epochs)
-	var total units.Time
-	for i := range epochs {
-		ep := &epochs[i]
-		if len(ep.Slices) == 0 {
-			total += ep.Duration()
-			continue
+// newWalker returns a walker at the start of epochs. Per-epoch mode
+// allocates nothing.
+func newWalker(epochs []kernel.Epoch, base, target units.Freq, o Options) walker {
+	w := walker{o: o, base: base, target: target}
+	if !o.PerEpochCTP {
+		w.slack, w.est = slackTables(epochs)
+	}
+	return w
+}
+
+// step predicts the next epoch and returns its duration at the target
+// frequency with the critical thread's slice. An idle epoch (no thread
+// ran) is scheduler/timer time that does not scale: it keeps its measured
+// duration and has no critical slice.
+func (w *walker) step(ep *kernel.Epoch) (units.Time, *kernel.ThreadSlice) {
+	if len(ep.Slices) == 0 {
+		return ep.Duration(), nil
+	}
+	across := !w.o.PerEpochCTP
+	// Lines 1-5: per-thread estimate minus carried slack; the epoch
+	// lasts as long as the largest, and never less than zero.
+	var pred units.Time
+	var crit *kernel.ThreadSlice
+	for j := range ep.Slices {
+		sl := &ep.Slices[j]
+		e := predictThread(sl.Delta.Active, &sl.Delta, w.o, w.base, w.target)
+		if across {
+			w.est[j] = e
+			e -= w.slack[sl.TID]
 		}
-		// Lines 1-5: per-thread estimate minus carried slack; the epoch
-		// lasts as long as the largest, and never less than zero.
-		var iPrime units.Time
-		for j := range ep.Slices {
-			sl := &ep.Slices[j]
-			est[j] = predictThread(sl.Delta.Active, &sl.Delta, o, base, target)
-			iPrime = max(iPrime, est[j]-slack[sl.TID])
+		if crit == nil || e > pred {
+			pred, crit = e, sl
 		}
-		total += iPrime
+	}
+	pred = max(pred, 0)
+	if across {
 		// Lines 6-8: update slack for every active thread.
 		for j := range ep.Slices {
-			slack[ep.Slices[j].TID] += iPrime - est[j]
+			w.slack[ep.Slices[j].TID] += pred - w.est[j]
 		}
 		// Line 9: the stalled thread's slack resets — it slept, so its
-		// next epoch starts fresh.
-		resetSlack(slack, ep.StallTID)
+		// next epoch starts fresh. NoThread, and a thread no slice
+		// names, carry none.
+		if s := ep.StallTID; s >= 0 && int(s) < len(w.slack) {
+			w.slack[s] = 0
+		}
 	}
-	return total
+	return pred, crit
 }
 
 // slackTables returns Algorithm 1's per-thread slack, indexed by thread ID
@@ -136,12 +146,4 @@ func slackTables(epochs []kernel.Epoch) (slack, est []units.Time) {
 	}
 	buf := make([]units.Time, threads+width)
 	return buf[:threads:threads], buf[threads:]
-}
-
-// resetSlack clears the slack of the thread whose sleep closed an epoch.
-// NoThread, and a thread no slice names, carry none.
-func resetSlack(slack []units.Time, stall kernel.ThreadID) {
-	if stall >= 0 && int(stall) < len(slack) {
-		slack[stall] = 0
-	}
 }

@@ -11,17 +11,6 @@ import (
 	"depburst/internal/sim"
 )
 
-func TestStaticOptimalPicksMinEnergy(t *testing.T) {
-	sweep := []StaticResult{
-		{Freq: 1000, Time: 120, Energy: 60},
-		{Freq: 2000, Time: 105, Energy: 50},
-		{Freq: 4000, Time: 100, Energy: 80},
-	}
-	if best := StaticOptimal(sweep); best.Freq != 2000 {
-		t.Errorf("static optimal = %v", best.Freq)
-	}
-}
-
 func TestStaticOptimalConstrained(t *testing.T) {
 	sweep := []StaticResult{
 		{Freq: 1000, Time: 150, Energy: 40}, // cheapest but too slow

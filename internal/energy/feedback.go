@@ -27,13 +27,7 @@ type FeedbackManager struct {
 
 // NewFeedbackManager returns a feedback manager with the given config.
 func NewFeedbackManager(cfg ManagerConfig) *FeedbackManager {
-	if cfg.Threshold < 0 {
-		panic("energy: negative slowdown threshold")
-	}
-	if cfg.HoldOff < 1 {
-		cfg.HoldOff = 1
-	}
-	return &FeedbackManager{cfg: cfg}
+	return &FeedbackManager{cfg: cfg.checked()}
 }
 
 // RealizedSlowdown reports the cumulative slowdown estimate so far.
@@ -77,17 +71,7 @@ func (mg *FeedbackManager) Governor() sim.Governor {
 		if max := 3 * mg.cfg.Threshold; thr > max {
 			thr = max
 		}
-		limit := units.Time(float64(predMax) * (1 + thr))
-
-		chosen := mg.cfg.Max
-		pred := predMax
-		for f := mg.cfg.Min; f < mg.cfg.Max; f += mg.cfg.Step {
-			if p := predict(f); p <= limit {
-				chosen = f
-				pred = p
-				break
-			}
-		}
+		chosen, pred := mg.cfg.lowest(predict, predMax, thr)
 		mg.Decisions = append(mg.Decisions, Decision{
 			At: s.End, Freq: chosen, PredMax: predMax, PredChosen: pred,
 			EpochsInLag: s.EpochHi - s.EpochLo,

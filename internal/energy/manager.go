@@ -60,16 +60,35 @@ type Decision struct {
 	EpochsInLag int
 }
 
-// NewManager returns a manager with the given configuration.
-func NewManager(cfg ManagerConfig) *Manager {
+// checked validates cfg for a manager: a negative slowdown threshold
+// panics, and a hold-off below 1 is raised to 1 (re-decide every quantum).
+func (cfg ManagerConfig) checked() ManagerConfig {
 	if cfg.Threshold < 0 {
 		panic("energy: negative slowdown threshold")
 	}
 	if cfg.HoldOff < 1 {
 		cfg.HoldOff = 1
 	}
-	return &Manager{cfg: cfg}
+	return cfg
 }
+
+// lowest walks the candidate states bottom-up and returns the first whose
+// predicted duration stays within threshold of predMax, the prediction at
+// Max, with that prediction; if none does, Max and predMax. Power
+// decreases monotonically with frequency, so the lowest admissible
+// frequency minimises energy.
+func (cfg ManagerConfig) lowest(predict func(units.Freq) units.Time, predMax units.Time, threshold float64) (units.Freq, units.Time) {
+	limit := units.Time(float64(predMax) * (1 + threshold))
+	for f := cfg.Min; f < cfg.Max; f += cfg.Step {
+		if p := predict(f); p <= limit {
+			return f, p
+		}
+	}
+	return cfg.Max, predMax
+}
+
+// NewManager returns a manager with the given configuration.
+func NewManager(cfg ManagerConfig) *Manager { return &Manager{cfg: cfg.checked()} }
 
 // Governor returns the sim.Governor implementing the paper's policy: from
 // the quantum's epoch stream, predict the interval's duration at the
@@ -95,21 +114,10 @@ func (mg *Manager) Governor() sim.Governor {
 		if predMax <= 0 {
 			return m.Freq()
 		}
-		limit := units.Time(float64(predMax) * (1 + mg.cfg.Threshold))
 
-		// Step 2: walk candidate states bottom-up and take the lowest
-		// one that satisfies the constraint. Power decreases
-		// monotonically with frequency, so the lowest admissible
-		// frequency minimises energy.
-		chosen := mg.cfg.Max
-		pred := predMax
-		for f := mg.cfg.Min; f < mg.cfg.Max; f += mg.cfg.Step {
-			if p := predict(f); p <= limit {
-				chosen = f
-				pred = p
-				break
-			}
-		}
+		// Step 2: take the lowest candidate state that satisfies the
+		// constraint.
+		chosen, pred := mg.cfg.lowest(predict, predMax, mg.cfg.Threshold)
 		// Hysteresis: a one-step move must be requested in two
 		// consecutive quanta before it is applied, so prediction noise
 		// at the 125 MHz granularity does not pay a 2 µs transition

@@ -1,45 +1,12 @@
 package energy
 
-import (
-	"depburst/internal/sim"
-	"depburst/internal/units"
-)
+import "depburst/internal/units"
 
 // StaticResult is one point of a static-frequency sweep.
 type StaticResult struct {
 	Freq   units.Freq
 	Time   units.Time
 	Energy units.Energy
-}
-
-// StaticSweep runs the workload at each static frequency and returns the
-// results in sweep order. The paper's "static-optimal" oracle is the sweep
-// point with minimum energy (it requires running the application multiple
-// times with the same input, hence "oracle").
-func StaticSweep(base sim.Config, mk func() sim.Workload, freqs []units.Freq) []StaticResult {
-	out := make([]StaticResult, 0, len(freqs))
-	for _, f := range freqs {
-		cfg := base
-		cfg.Freq = f
-		m := sim.New(cfg)
-		res, err := m.Run(mk())
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, StaticResult{Freq: f, Time: res.Time, Energy: res.Energy})
-	}
-	return out
-}
-
-// StaticOptimal returns the minimum-energy point of a sweep.
-func StaticOptimal(sweep []StaticResult) StaticResult {
-	best := sweep[0]
-	for _, s := range sweep[1:] {
-		if s.Energy < best.Energy {
-			best = s
-		}
-	}
-	return best
 }
 
 // StaticOptimalConstrained returns the minimum-energy sweep point whose

@@ -29,13 +29,7 @@ type PerCoreManager struct {
 
 // NewPerCoreManager returns a per-core manager with the given config.
 func NewPerCoreManager(cfg ManagerConfig) *PerCoreManager {
-	if cfg.Threshold < 0 {
-		panic("energy: negative slowdown threshold")
-	}
-	if cfg.HoldOff < 1 {
-		cfg.HoldOff = 1
-	}
-	return &PerCoreManager{cfg: cfg}
+	return &PerCoreManager{cfg: cfg.checked()}
 }
 
 // Governor returns the per-core DVFS policy.
@@ -64,15 +58,13 @@ func (mg *PerCoreManager) decide(cs sim.CoreSample, dur units.Time) units.Freq {
 	if cs.Delta.Active < dur/64 {
 		return mg.cfg.Min
 	}
-	predMax := core.PredictAggregate(cs.Delta, cs.Freq, mg.cfg.Max, mg.cfg.Opts)
+	predict := func(f units.Freq) units.Time {
+		return core.PredictAggregate(cs.Delta, cs.Freq, f, mg.cfg.Opts)
+	}
+	predMax := predict(mg.cfg.Max)
 	if predMax <= 0 {
 		return cs.Freq
 	}
-	limit := units.Time(float64(predMax) * (1 + mg.cfg.Threshold))
-	for f := mg.cfg.Min; f < mg.cfg.Max; f += mg.cfg.Step {
-		if core.PredictAggregate(cs.Delta, cs.Freq, f, mg.cfg.Opts) <= limit {
-			return f
-		}
-	}
-	return mg.cfg.Max
+	f, _ := mg.cfg.lowest(predict, predMax, mg.cfg.Threshold)
+	return f
 }

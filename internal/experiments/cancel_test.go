@@ -153,3 +153,22 @@ func TestWithContextSharesMemo(t *testing.T) {
 		t.Fatalf("simulations = %d, want 1", n)
 	}
 }
+
+// TestInstrumentedRunCancelled: an instrumented run on a cancelled binding
+// unwinds with the context's error and, like Truth, starts no simulation.
+func TestInstrumentedRunCancelled(t *testing.T) {
+	r := NewRunnerWorkers(2)
+	spec, err := dacapo.ByName("pmd.scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = Cancelable(func() { r.WithContext(ctx).InstrumentedRun(spec, 1000, false, 0) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := r.Simulations(); n != 0 {
+		t.Fatalf("simulations = %d, want 0", n)
+	}
+}

@@ -465,33 +465,50 @@ func (r *Runner) resolve(ctx context.Context, j job, full bool) (*sim.Summary, *
 				}
 			}
 		}
-		release, err := r.gate(ctx)
+		out, mgr, err := r.simulate(ctx, j, key)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		defer release()
-		r.sims.Add(1)
-		m := sim.New(j.cfg)
-		var mgr any
-		if j.govern != nil {
-			mgr = j.govern(m)
-		}
-		out, err := m.RunContext(ctx, j.w)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, nil, cerr
-			}
-			panic(fmt.Sprintf("experiments: %s@%v: %v", j.w.Name(), j.cfg.Freq, err))
-		}
-		if r.disk != nil {
-			// Best effort: a full or read-only cache must never fail the
-			// experiment that produced the result. The store counts and
-			// reports the failure.
-			_ = r.disk.PutMeta(key, &out, j.manifest())
-		}
 		head := out.Summary()
-		return &head, &out, mgr, nil
+		return &head, out, mgr, nil
 	})
+}
+
+// simulate runs j live, unmemoised: it takes a pool slot, builds the
+// machine, installs the governor and runs under ctx, counting in
+// Simulations, and given a key and a disk cache writes the result back
+// before it releases the slot. A non-nil error is ctx's, or ErrSaturated
+// when the queue bound refused the slot; a simulator failure panics. An
+// already-cancelled ctx starts nothing, even when a slot is free.
+func (r *Runner) simulate(ctx context.Context, j job, key string) (*sim.Result, any, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	release, err := r.gate(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer release()
+	r.sims.Add(1)
+	m := sim.New(j.cfg)
+	var mgr any
+	if j.govern != nil {
+		mgr = j.govern(m)
+	}
+	out, err := m.RunContext(ctx, j.w)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, cerr
+		}
+		panic(fmt.Sprintf("experiments: %s@%v: %v", j.w.Name(), j.cfg.Freq, err))
+	}
+	if key != "" && r.disk != nil {
+		// Best effort: a full or read-only cache must never fail the
+		// experiment that produced the result. The store counts and
+		// reports the failure.
+		_ = r.disk.PutMeta(key, &out, j.manifest())
+	}
+	return &out, mgr, nil
 }
 
 // TruthConfig is the configuration Truth simulates spec at frequency f

@@ -14,8 +14,9 @@ import (
 // InstrumentedRun executes one fresh simulation of spec with an
 // observability registry attached and returns both. Unlike Truth the run is
 // not memoised — the registry belongs to exactly this execution — but it
-// still takes a worker-pool slot so instrumented runs respect the global
-// simulation cap. With managed set, the run is ManagedRun's: it starts at
+// is simulated like any other: it takes a worker-pool slot, counts in
+// Simulations and unwinds when the Runner's context is cancelled (see
+// Cancelable). With managed set, the run is ManagedRun's: it starts at
 // the maximum frequency and the DEP+BURST energy manager governs DVFS at
 // the given slowdown threshold (f is ignored); otherwise it is Truth's run
 // at f.
@@ -26,20 +27,8 @@ func (r *Runner) InstrumentedRun(spec dacapo.Spec, f units.Freq, managed bool, t
 	}
 	reg := metrics.NewRegistry()
 	j.cfg.Metrics = reg
-	release, err := r.gate(r.context())
-	if err != nil {
-		panic(canceled{err})
-	}
-	defer release()
-	m := sim.New(j.cfg)
-	if j.govern != nil {
-		j.govern(m)
-	}
-	res, err := m.Run(j.w)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: instrumented run %s: %v", spec.Name, err))
-	}
-	return &res, reg
+	res, _ := unwind(r.simulate(r.context(), j, ""))
+	return res, reg
 }
 
 // wallCPI converts a wall-clock duration at frequency f plus an instruction

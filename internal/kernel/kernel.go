@@ -104,14 +104,9 @@ func (k *Kernel) SetParkHook(fn func(now units.Time)) { k.onPark = append(k.onPa
 // LiveAppThreads reports how many application threads have not exited.
 func (k *Kernel) LiveAppThreads() int { return k.liveApp }
 
-// RunningOrRunnable reports whether any thread of the given class is
-// currently running or waiting to run (i.e. not asleep and not exited).
-func (k *Kernel) RunningOrRunnable(c Class) bool {
-	return k.RunningOrRunnableGroup(c, -1)
-}
-
-// RunningOrRunnableGroup is RunningOrRunnable restricted to one thread
-// group (-1 means any group). A stop-the-world collector only needs its
+// RunningOrRunnableGroup reports whether any thread of the given class in
+// one thread group (-1 means any group) is running or waiting to run, that
+// is not asleep and not exited. A stop-the-world collector only needs its
 // own group's application threads stopped.
 func (k *Kernel) RunningOrRunnableGroup(c Class, group int) bool {
 	for _, t := range k.threads {
